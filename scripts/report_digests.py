@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of the report bodies a refactor must leave unchanged.
+
+One line per report: the acceptance criteria 1-8 bodies (serialized exactly
+as tests/test_acceptance.py does for criterion 9), then the JSON report and
+the CSV body (without '#' comment lines) of several ``matword verify`` runs:
+the two shapes the benchmark runs, an AULPAC cube run where some trials
+fail their bounds, and a ULPAC run whose trials are all refused.
+
+Digests depend on the BLAS thread count, so compare two checkouts under the
+same ``OPENBLAS_NUM_THREADS``; the first line records it.
+
+Run:  OPENBLAS_NUM_THREADS=1 python scripts/report_digests.py > digests.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import test_acceptance  # noqa: E402
+from matword.cli import dispatch  # noqa: E402
+
+VERIFY_RUNS = {
+    "verify-ulpac-cube": [
+        "ulpac", "--kind", "cube", "--m", "2", "--n", "16", "--delta", "0.02",
+        "--trials", "10", "--seed", "7", "--polys", "z^2-1", "--eps-alg", "1e-3",
+        "--eps", "0.2",
+    ],
+    "verify-aulpac-sphere": [
+        "aulpac", "--kind", "sphere", "--m", "2", "--n", "32", "--delta", "0.02",
+        "--trials", "3", "--seed", "7",
+    ],
+    "verify-aulpac-cube-failing": [
+        "aulpac", "--kind", "cube", "--m", "2", "--n", "8", "--delta", "0.05",
+        "--trials", "5", "--seed", "7", "--eps", "0.027",
+    ],
+    "verify-ulpac-refused": [
+        "ulpac", "--kind", "cube", "--m", "2", "--n", "8", "--delta", "0.4",
+        "--trials", "2", "--seed", "3", "--polys", "z^2-1", "--eps-alg", "1e-3",
+    ],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    for k in range(1, 9):
+        build = getattr(test_acceptance, f"criterion_{k}_report")
+        print(f"c{k} {_sha(test_acceptance._report_bytes(build()))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in VERIFY_RUNS.items():
+            report, csv = Path(tmp, f"{name}.json"), Path(tmp, f"{name}.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = dispatch(["verify", *argv, "--report", str(report), "--csv", str(csv)])
+            body = "\n".join(
+                ln for ln in csv.read_text(encoding="utf-8").splitlines()
+                if not ln.startswith("#")
+            )
+            print(f"{name}.exit {code}")
+            print(f"{name}.json {_sha(report.read_bytes())}")
+            print(f"{name}.csv {_sha(body.encode())}")
+
+
+if __name__ == "__main__":
+    main()

@@ -179,9 +179,6 @@ class IsospectralApproximant:
         x = as_square(x)
         return self.w @ x @ self.w.conj().T
 
-    def apply_tuple(self, mats) -> list[np.ndarray]:
-        return [self.apply(m) for m in mats]
-
     def inverse(self) -> "IsospectralApproximant":
         return IsospectralApproximant(
             frozen(self.w.conj().T),
@@ -275,9 +272,13 @@ def _lattice_candidates(step: float, count: int):
         yield -k * step
 
 
-def _nearby_generator_data(
-    x: NormalTuple, j: int, delta: float, tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def nearby_generator(x: NormalTuple, j: int, delta: float, tol: float | None = None) -> np.ndarray:
+    """Normal matrix with n distinct eigenvalues, within delta of X_j.
+
+    It commutes with every member of the tuple, so all of them are functions
+    of it.  Eigenvalues are placed deterministically on a lattice of pitch
+    0.9 * delta / (2n) inside the delta-disk around each eigenvalue of X_j.
+    """
     n = x.dim
     tol = default_tol(n) if tol is None else tol
     if not 0 <= j < x.arity:
@@ -305,22 +306,7 @@ def _nearby_generator_data(
         else:
             raise ApproximantError("could not place distinct eigenvalues inside the disk")
 
-    xhat = (u * chosen) @ u.conj().T
-    sep = min(
-        abs(placed[a] - placed[b]) for a in range(n) for b in range(a + 1, n)
-    ) if n > 1 else np.inf
-    return xhat, chosen, u, float(sep)
-
-
-def nearby_generator(x: NormalTuple, j: int, delta: float, tol: float | None = None) -> np.ndarray:
-    """Normal matrix with n distinct eigenvalues, within delta of X_j.
-
-    It commutes with every member of the tuple, so all of them are functions
-    of it.  Eigenvalues are placed deterministically on a lattice of pitch
-    0.9 * delta / (2n) inside the delta-disk around each eigenvalue of X_j.
-    """
-    xhat, _, _, _ = _nearby_generator_data(x, j, delta, tol)
-    return xhat
+    return (u * chosen) @ u.conj().T
 
 
 def upper_left_block(m) -> np.ndarray:

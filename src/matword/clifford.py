@@ -113,14 +113,6 @@ def clifford_distance(s, t) -> float:
     return clifford_norm(diffs)
 
 
-def tuple_distance_bound(s, t) -> float:
-    """m * max_j ||S_j - T_j||, an upper bound for the Clifford metric."""
-    s = _as_matrix_list(s)
-    t = _as_matrix_list(t)
-    m = len(s)
-    return m * max(float(np.linalg.norm(a - b, 2)) for a, b in zip(s, t))
-
-
 __all__ = [
     "CliffordRep",
     "MAX_GENERATORS",
@@ -128,5 +120,4 @@ __all__ = [
     "clifford_generators",
     "clifford_norm",
     "clifford_operator",
-    "tuple_distance_bound",
 ]

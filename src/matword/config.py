@@ -1,7 +1,7 @@
 """Process-wide runtime knobs.
 
-The thread count is a hint consumed where a backend offers parallelism;
-all numerical results are deterministic regardless of its value.  CLI
+The thread count is stored but no code reads it yet, and it does not set
+the BLAS thread count, which can change the last digits of results.  CLI
 ``--threads`` wins over the MATWORD_THREADS environment variable; 0 means
 automatic.
 """

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approximants import (
-    IsospectralApproximant,
     dilate,
     double_embed,
     joint_isospectral_approximant,
@@ -31,6 +30,7 @@ from .linalg import (
     joint_diagonalize,
     operator_norm,
     principal_unitary_log,
+    threshold_clusters,
 )
 from .minpoly import PolyC, poly_residual
 from .paths import (
@@ -194,6 +194,11 @@ def generate_instance(spec: InstanceSpec) -> tuple[NormalTuple, NormalTuple]:
 # connectivity pipelines
 
 
+def _num(v):
+    """JSON number: None for missing or non-finite values."""
+    return None if v is None or not np.isfinite(v) else float(v)
+
+
 @dataclass(frozen=True)
 class DeformationResult:
     paths: tuple[MatrixPath, ...]
@@ -210,25 +215,22 @@ class DeformationResult:
         return all(r.passed for r in self.reports)
 
     def to_json_dict(self) -> dict:
-        def num(v):
-            return None if v is None or not np.isfinite(v) else float(v)
-
         return {
-            "delta_in": num(self.delta_in),
-            "achieved_eps": num(self.achieved_eps),
-            "endpoint_residual": num(self.endpoint_residual),
-            "max_commutation": num(self.max_commutation),
-            "max_poly_residual": num(self.max_poly_residual),
-            "compressibility": num(self.compressibility),
+            "delta_in": _num(self.delta_in),
+            "achieved_eps": _num(self.achieved_eps),
+            "endpoint_residual": _num(self.endpoint_residual),
+            "max_commutation": _num(self.max_commutation),
+            "max_poly_residual": _num(self.max_poly_residual),
+            "compressibility": _num(self.compressibility),
             "passed": bool(self.passed),
             "constraints": [
                 [
                     {
                         "label": e.label,
-                        "max_residual": num(e.max_residual),
-                        "bound": num(e.bound),
+                        "max_residual": _num(e.max_residual),
+                        "bound": _num(e.bound),
                         "passed": bool(e.passed),
-                        "worst_t": num(e.worst_t),
+                        "worst_t": _num(e.worst_t),
                     }
                     for e in rep.entries
                 ]
@@ -243,36 +245,9 @@ def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:
     return max(operator_norm(a - b) for a, b in zip(x, y))
 
 
-def _joint_cluster_values(diags: list[np.ndarray], threshold: float) -> np.ndarray:
-    """Distinct real label per joint-eigenvalue cluster (max-metric linkage)."""
-    n = diags[0].shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for k in range(i + 1, n):
-            gap = max(abs(d[i] - d[k]) for d in diags)
-            if gap <= threshold:
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    parent[max(ri, rk)] = min(ri, rk)
-    labels = np.empty(n)
-    seen: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        seen.setdefault(root, len(seen))
-        labels[i] = float(seen[root])
-    return labels
-
-
 def _curved_connect(
     x: NormalTuple, y: NormalTuple, n_seg: int, degeneracy_tol: float = 1e-9
-) -> tuple[list[MatrixPath], IsospectralApproximant, float]:
+) -> tuple[list[MatrixPath], float]:
     """Curved paths conjugating X into Y's joint-diagonal algebra.
 
     The approximant's unitary W is compressed onto the nearest unitary What
@@ -282,12 +257,12 @@ def _curved_connect(
     cross-cluster leakage counts against compressibility.  The paths then
     conjugate by the principal-log flow of What* W.
 
-    Returns the per-member paths, the approximant, and ||W - What||.
+    Returns the per-member paths and ||W - What||.
     """
     delta = _pair_distance(x, y)
     psi = joint_isospectral_approximant(x, y, delta)
     uy, dy = joint_diagonalize(y, tol=max(y.commutator_bound, 1e-12))
-    labels = _joint_cluster_values(dy, degeneracy_tol)
+    labels = threshold_clusters(np.stack(dy, 1), degeneracy_tol).astype(float)
     d_gen = (uy * labels) @ uy.conj().T
     ncu = nearby_commuting_unitary(psi.w, d_gen, cluster_tol=0.25, min_gap=0.5)
     what = ncu.z.conj().T
@@ -299,7 +274,7 @@ def _curved_connect(
         )
     h = principal_unitary_log(z)
     paths = [curved_path(h, xj, n_seg) for xj in x]
-    return paths, psi, deviation
+    return paths, deviation
 
 
 def _assemble_result(
@@ -313,20 +288,10 @@ def _assemble_result(
     n = x.dim
     comm_bound = 1e-7 * n
     dist_bound = math.inf if eps is None else eps
-    achieved = 0.0
     endpoint = 0.0
-    for j, p in enumerate(paths):
-        achieved = max(
-            achieved, max(operator_norm(s - y[j]) for s in p.samples)
-        )
-        endpoint = max(
-            endpoint,
-            operator_norm(p.start - x[j]),
-            operator_norm(p.end - y[j]),
-        )
-
     reports = []
     for j, p in enumerate(paths):
+        endpoint = max(endpoint, operator_norm(p.start - x[j]), operator_norm(p.end - y[j]))
         cons = [
             CommutationConstraint(paths[k], comm_bound, label=f"commutation[{j},{k}]")
             for k in range(j + 1, len(paths))
@@ -348,7 +313,7 @@ def _assemble_result(
     ]
     return DeformationResult(
         paths=tuple(paths),
-        achieved_eps=achieved,
+        achieved_eps=max(rep.max_residual("distance-to-target") for rep in reports),
         reports=tuple(reports),
         delta_in=_pair_distance(x, y),
         endpoint_residual=endpoint,
@@ -356,6 +321,21 @@ def _assemble_result(
         max_poly_residual=max(poly_vals) if poly_vals else None,
         compressibility=compressibility,
     )
+
+
+def _check_endpoint_residuals(polys, x, y, bound: float, reason: str):
+    for j, p in enumerate(polys):
+        for t, name in ((x, "X"), (y, "Y")):
+            r = poly_residual(p, t[j])
+            if r > bound:
+                raise DeformationError(f"||p_{j}({name}_{j})|| = {r:.3e}{reason}")
+
+
+def _curved_then_flat(x, y, eps, polys, n_samples: int) -> DeformationResult:
+    seg = (n_samples + 1) // 2
+    curved, deviation = _curved_connect(x, y, seg)
+    paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
+    return _assemble_result(paths, x, y, eps, polys, deviation)
 
 
 def connect_commuting(
@@ -371,10 +351,7 @@ def connect_commuting(
     commutation holds along the whole path; spectra are preserved on the
     curved half.
     """
-    seg = (n_samples + 1) // 2
-    curved, _psi, deviation = _curved_connect(x, y, seg)
-    paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
-    return _assemble_result(paths, x, y, eps, None, deviation)
+    return _curved_then_flat(x, y, eps, None, n_samples)
 
 
 def connect_algebraic(
@@ -395,23 +372,14 @@ def connect_algebraic(
     polys = _normalize_polys(polys, x.arity)
     n = x.dim
     zero_tol = default_tol(n) if zero_tol is None else zero_tol
-    for j, p in enumerate(polys):
-        for t, name in ((x, "X"), (y, "Y")):
-            r = poly_residual(p, t[j])
-            if r > zero_tol:
-                raise DeformationError(
-                    f"||p_{j}({name}_{j})|| = {r:.3e}; spectrum is not in the zero set"
-                )
+    _check_endpoint_residuals(polys, x, y, zero_tol, "; spectrum is not in the zero set")
     gap = min_root_gap(polys)
     delta = _pair_distance(x, y)
     if delta > gap / 3.0:
         raise DeformationError(
             f"pair distance {delta:.3e} exceeds a third of the root gap {gap:.3e}"
         )
-    seg = (n_samples + 1) // 2
-    curved, _psi, deviation = _curved_connect(x, y, seg)
-    paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
-    return _assemble_result(paths, x, y, eps, polys, deviation)
+    return _curved_then_flat(x, y, eps, polys, n_samples)
 
 
 def _project_to_roots(
@@ -449,13 +417,7 @@ def connect_soft_algebraic(
     delta/2 of the zero sets, and delta at most a sixth of the root gap.
     """
     polys = _normalize_polys(polys, x.arity)
-    for j, p in enumerate(polys):
-        for t, name in ((x, "X"), (y, "Y")):
-            r = poly_residual(p, t[j])
-            if r > delta * (1.0 + 1e-9):
-                raise DeformationError(
-                    f"||p_{j}({name}_{j})|| = {r:.3e} exceeds delta {delta:.3e}"
-                )
+    _check_endpoint_residuals(polys, x, y, delta * (1.0 + 1e-9), f" exceeds delta {delta:.3e}")
     gap = min_root_gap(polys)
     if delta > gap / 6.0:
         raise DeformationError(
@@ -468,7 +430,7 @@ def connect_soft_algebraic(
     yhat = NormalTuple.from_matrices(_project_to_roots(uy, dy, polys, delta))
 
     seg = ((n_samples or DEFAULT_SAMPLES) + 2) // 3 + 1
-    curved, _psi, deviation = _curved_connect(xhat, yhat, seg)
+    curved, deviation = _curved_connect(xhat, yhat, seg)
 
     paths = []
     for j, c in enumerate(curved):
@@ -497,20 +459,17 @@ class TrialRecord:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        def num(v):
-            return None if v is None or not np.isfinite(v) else float(v)
-
         return {
             "seed": self.seed,
-            "achieved_eps": num(self.achieved_eps),
-            "endpoint_residual": num(self.endpoint_residual),
-            "max_commutation": num(self.max_commutation),
-            "max_poly_residual": num(self.max_poly_residual),
-            "relation_residual": num(self.relation_residual),
-            "relation_bound": num(self.relation_bound),
-            "cross_commutator": num(self.cross_commutator),
-            "dilation_mismatch": num(self.dilation_mismatch),
-            "recovery_residual": num(self.recovery_residual),
+            "achieved_eps": _num(self.achieved_eps),
+            "endpoint_residual": _num(self.endpoint_residual),
+            "max_commutation": _num(self.max_commutation),
+            "max_poly_residual": _num(self.max_poly_residual),
+            "relation_residual": _num(self.relation_residual),
+            "relation_bound": _num(self.relation_bound),
+            "cross_commutator": _num(self.cross_commutator),
+            "dilation_mismatch": _num(self.dilation_mismatch),
+            "recovery_residual": _num(self.recovery_residual),
             "passed": bool(self.passed),
         }
 
@@ -586,25 +545,72 @@ def _cross_commutator(x: NormalTuple, y: NormalTuple) -> float:
     )
 
 
-def _relation_residual(paths, kind: str, m: int) -> float:
-    """Worst defining-relation residual along the paths.
+def _relation_residual(tuples, kind: str) -> float:
+    """Worst defining-relation residual over a sequence of matrix tuples.
 
-    Cube: contraction slack max(0, ||Z_t|| - 1).  Sphere: ||sum Z_t^2 - 1||.
+    Cube: contraction slack max(0, ||Z_j|| - 1).  Sphere: ||sum_j Z_j^2 - 1||.
     """
     worst = 0.0
-    n_samples = paths[0].n_samples
-    n = paths[0].dim
-    for i in range(n_samples):
+    for mats in tuples:
         if kind == "cube":
-            for p in paths:
-                worst = max(worst, max(0.0, operator_norm(p.samples[i]) - 1.0))
+            for z in mats:
+                worst = max(worst, max(0.0, operator_norm(z) - 1.0))
         else:
+            n = mats[0].shape[0]
             acc = np.zeros((n, n), dtype=complex)
-            for p in paths:
-                s = p.samples[i]
-                acc = acc + s @ s
+            for z in mats:
+                acc = acc + z @ z
             worst = max(worst, operator_norm(acc - np.eye(n)))
     return worst
+
+
+def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation):
+    """Seeded trial loop shared by both harness modes.
+
+    Per trial: ``lift(x, y)`` returns the tuples to connect plus the
+    dilation mismatch (None without a lift), ``connect`` runs the pipeline
+    on the lifted tuples, and ``base_relation(y)`` is the target's own
+    relation residual.  A lifted trial must also compress back onto its
+    source.  A refused connection is recorded as a failed trial with
+    infinite residuals; it is never raised.
+    """
+    comm_bound = 1e-7 * size
+    end_bound = 1e-8 * size
+    records = []
+    for t in range(trials):
+        sub = replace(spec, seed=_trial_seed(spec.seed, t))
+        x, y = generate_instance(sub)
+        lx, ly, mismatch = lift(x, y)
+        cross = _cross_commutator(x, y)
+        try:
+            res = connect(lx, ly)
+        except (DeformationError, ValueError):  # recorded, not raised
+            records.append(TrialRecord(
+                sub.seed, math.inf, math.inf, math.inf, None, math.inf, 0.0,
+                cross, mismatch, None, False,
+            ))
+            continue
+        recovery = None if mismatch is None else max(
+            operator_norm(upper_left_block(p.samples[0]) - h) for p, h in zip(res.paths, x)
+        )
+        relation = _relation_residual(zip(*(p.samples for p in res.paths)), spec.kind)
+        relation_bound = base_relation(y) + 2 * spec.m * res.achieved_eps + 1e-6
+        ok = (
+            res.endpoint_residual <= end_bound
+            and res.max_commutation <= comm_bound
+            and res.achieved_eps <= eps_pass
+            and relation <= relation_bound
+            and all(
+                v is None or v <= eps_pass
+                for v in (res.max_poly_residual, mismatch, recovery)
+            )
+        )
+        records.append(TrialRecord(
+            sub.seed, res.achieved_eps, res.endpoint_residual, res.max_commutation,
+            res.max_poly_residual, relation, relation_bound, cross, mismatch,
+            recovery, ok,
+        ))
+    return ConnectivityReport(mode, spec, eps_pass, tuple(records))
 
 
 def verify_ulpac(
@@ -622,59 +628,20 @@ def verify_ulpac(
         raise DeformationError("ULPAC verification needs polynomial constraints")
     eps_pass = 10.0 * spec.delta + 5.0 * spec.eps_alg if eps_pass is None else eps_pass
     polys = _normalize_polys(spec.polys, spec.m)
-    comm_bound = 1e-7 * spec.n
-    end_bound = 1e-8 * spec.n
 
-    records = []
-    for t in range(trials):
-        sub = replace(spec, seed=_trial_seed(spec.seed, t))
-        x, y = generate_instance(sub)
+    def connect(x, y):
         resid = max(
             poly_residual(p, mat) for tup in (x, y) for p, mat in zip(polys, tup)
         )
         delta_soft = max(resid * 1.01, 2.0 * spec.eps_alg + spec.delta + 1e-9)
-        try:
-            res = connect_soft_algebraic(x, y, polys, delta_soft, eps_pass)
-        except (DeformationError, ValueError):  # recorded, not raised
-            records.append(
-                TrialRecord(
-                    sub.seed, math.inf, math.inf, math.inf, None, math.inf,
-                    0.0, _cross_commutator(x, y), None, None, False,
-                )
-            )
-            continue
-        relation = _relation_residual(res.paths, spec.kind, spec.m)
-        base_relation = (
-            max(0.0, max(operator_norm(m) for m in y) - 1.0)
-            if spec.kind == "cube"
-            else operator_norm(
-                sum(m @ m for m in y.matrices) - np.eye(spec.n)
-            )
-        )
-        relation_bound = base_relation + 2 * spec.m * res.achieved_eps + 1e-6
-        ok = (
-            res.endpoint_residual <= end_bound
-            and res.max_commutation <= comm_bound
-            and (res.max_poly_residual or 0.0) <= eps_pass
-            and res.achieved_eps <= eps_pass
-            and relation <= relation_bound
-        )
-        records.append(
-            TrialRecord(
-                sub.seed,
-                res.achieved_eps,
-                res.endpoint_residual,
-                res.max_commutation,
-                res.max_poly_residual,
-                relation,
-                relation_bound,
-                _cross_commutator(x, y),
-                None,
-                None,
-                ok,
-            )
-        )
-    return ConnectivityReport("ulpac", spec, eps_pass, tuple(records))
+        return connect_soft_algebraic(x, y, polys, delta_soft, eps_pass)
+
+    return _run_trials(
+        "ulpac", spec, trials, eps_pass, spec.n,
+        lift=lambda x, y: (x, y, None),
+        connect=connect,
+        base_relation=lambda y: _relation_residual([y.matrices], spec.kind),
+    )
 
 
 def verify_aulpac(
@@ -690,66 +657,23 @@ def verify_aulpac(
     if spec.polys is not None:
         raise DeformationError("AULPAC verification runs on unconstrained instances")
     eps_pass = 10.0 * spec.delta if eps_pass is None else eps_pass
-    comm_bound = 1e-7 * 2 * spec.n
-    end_bound = 1e-8 * 2 * spec.n
 
-    records = []
-    for t in range(trials):
-        sub = replace(spec, seed=_trial_seed(spec.seed, t))
-        x, y = generate_instance(sub)
-        delta_meas = _pair_distance(x, y)
-        psi = joint_isospectral_approximant(x, y, delta_meas)
+    def lift(x, y):
+        psi = joint_isospectral_approximant(x, y, _pair_distance(x, y))
         big = dilate(psi, "swap")
-
         dil_x = NormalTuple.from_matrices([big.apply(double_embed(h)) for h in x])
         dil_y = NormalTuple.from_matrices([double_embed(k) for k in y])
         mismatch = max(
-            max(
-                operator_norm(dx - double_embed(h)),
-                operator_norm(dx - double_embed(k)),
-            )
+            max(operator_norm(dx - double_embed(h)), operator_norm(dx - double_embed(k)))
             for dx, h, k in zip(dil_x.matrices, x, y)
         )
-        try:
-            res = connect_commuting(dil_x, dil_y, eps=eps_pass)
-        except (DeformationError, ValueError):
-            records.append(
-                TrialRecord(
-                    sub.seed, math.inf, math.inf, math.inf, None, 0.0, 0.0,
-                    _cross_commutator(x, y), mismatch, None, False,
-                )
-            )
-            continue
-        recovery = max(
-            operator_norm(upper_left_block(p.samples[0]) - h)
-            for p, h in zip(res.paths, x)
-        )
-        relation = _relation_residual(res.paths, spec.kind, spec.m)
-        relation_bound = 2 * spec.m * res.achieved_eps + (
-            0.0 if spec.kind == "cube" else operator_norm(
-                sum(double_embed(k) @ double_embed(k) for k in y.matrices) - np.eye(2 * spec.n)
-            )
-        ) + 1e-6
-        ok = (
-            mismatch <= eps_pass
-            and recovery <= eps_pass
-            and res.endpoint_residual <= end_bound
-            and res.max_commutation <= comm_bound
-            and res.achieved_eps <= eps_pass
-        )
-        records.append(
-            TrialRecord(
-                sub.seed,
-                res.achieved_eps,
-                res.endpoint_residual,
-                res.max_commutation,
-                None,
-                relation,
-                relation_bound,
-                _cross_commutator(x, y),
-                mismatch,
-                recovery,
-                ok,
-            )
-        )
-    return ConnectivityReport("aulpac", spec, eps_pass, tuple(records))
+        return dil_x, dil_y, mismatch
+
+    return _run_trials(
+        "aulpac", spec, trials, eps_pass, 2 * spec.n,
+        lift=lift,
+        connect=lambda x, y: connect_commuting(x, y, eps=eps_pass),
+        # the cube bound carries no base term for the dilated target
+        base_relation=lambda y: 0.0 if spec.kind == "cube"
+        else _relation_residual([[double_embed(k) for k in y]], spec.kind),
+    )

@@ -162,28 +162,28 @@ def write_field_csv(path, field: ScalarField2D, mask: np.ndarray | None = None, 
     cols = "re,im,value" + (",mask" if mask is not None else "")
     lines.append(cols)
     for i, z in enumerate(field.grid.nodes):
-        row = f"{z.real!r},{z.imag!r},{field.values[i]!r}"
+        row = f"{float(z.real)!r},{float(z.imag)!r},{float(field.values[i])!r}"
         if mask is not None:
             row += f",{int(mask[i])}"
         lines.append(row)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def field_json_dict(field: ScalarField2D, mask: np.ndarray | None = None) -> dict:
-    g = field.grid
-    doc = {
-        "grid": {
-            "kind": g.kind,
-            "bounds": list(g.bounds),
-            "shape": None if g.shape is None else list(g.shape),
-            "cell_order": g.cell_order,
-            "cells": None
-            if g.cells is None
-            else [[c.x0, c.x1, c.y0, c.y1, c.depth] for c in g.cells],
-            "nodes": _pairs(g.nodes),
-        },
-        "values": [float(v) for v in field.values],
+def _grid_dict(g: Grid2D) -> dict:
+    return {
+        "kind": g.kind,
+        "bounds": list(g.bounds),
+        "shape": None if g.shape is None else list(g.shape),
+        "cell_order": g.cell_order,
+        "cells": None
+        if g.cells is None
+        else [[c.x0, c.x1, c.y0, c.y1, c.depth] for c in g.cells],
+        "nodes": _pairs(g.nodes),
     }
+
+
+def field_json_dict(field: ScalarField2D, mask: np.ndarray | None = None) -> dict:
+    doc = {"grid": _grid_dict(field.grid), "values": [float(v) for v in field.values]}
     if mask is not None:
         doc["mask"] = [int(b) for b in mask]
     return doc
@@ -217,18 +217,7 @@ def load_grid_json(path) -> Grid2D:
 
 
 def write_grid_json(path, grid: Grid2D):
-    doc = {
-        "grid": {
-            "kind": grid.kind,
-            "bounds": list(grid.bounds),
-            "shape": None if grid.shape is None else list(grid.shape),
-            "cell_order": grid.cell_order,
-            "cells": None
-            if grid.cells is None
-            else [[c.x0, c.x1, c.y0, c.y1, c.depth] for c in grid.cells],
-            "nodes": _pairs(grid.nodes),
-        }
-    }
+    doc = {"grid": _grid_dict(grid)}
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
@@ -256,7 +245,7 @@ def write_contours_csv(path, contours, header: str | None = None):
     lines.append("contour,vertex,re,im")
     for ci, poly in enumerate(contours):
         for vi, z in enumerate(poly):
-            lines.append(f"{ci},{vi},{z.real!r},{z.imag!r}")
+            lines.append(f"{ci},{vi},{float(z.real)!r},{float(z.imag)!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

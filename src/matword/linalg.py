@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 class LinalgError(ValueError):
@@ -117,33 +119,23 @@ def polar_decomposition(a) -> tuple[np.ndarray, np.ndarray]:
     return v, r
 
 
-def _single_linkage(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Single-linkage clusters of complex values at threshold ``tol``.
+def threshold_clusters(points, tol: float) -> np.ndarray:
+    """Single-linkage cluster labels of complex points at threshold ``tol``.
 
-    Returned groups are ordered by (re, im) of their first member for
-    determinism; members keep input order.
+    Each row of ``points`` is one point (a 1-D array holds one coordinate
+    per point); two points link when every coordinate differs by at most
+    ``tol`` in modulus.  Clusters are numbered in order of their lowest
+    member.
     """
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    ordered = sorted(groups.values(), key=lambda g: (values[g[0]].real, values[g[0]].imag))
-    return ordered
+    p = np.asarray(points, dtype=complex)
+    if p.ndim == 1:
+        p = p[:, None]
+    d = p[:, None, :] - p[None, :, :]
+    # hypot matches the scalar abs() bit for bit; np.abs on complex arrays
+    # can differ in the last ulp, which moves exact-threshold ties.
+    dist = np.hypot(d.real, d.imag).max(axis=2)
+    _, labels = connected_components(csr_matrix(dist <= tol), directed=False)
+    return labels
 
 
 def normality_defect(a) -> float:
@@ -172,7 +164,9 @@ def cluster_eigenbasis(
     t, q = scipy.linalg.schur(a, output="complex")
     eigs = np.diag(t)
 
-    groups = _single_linkage(eigs, cluster_tol)
+    labels = threshold_clusters(eigs, cluster_tol)
+    groups = sorted((np.flatnonzero(labels == k) for k in range(labels.max() + 1)),
+                    key=lambda g: (eigs[g[0]].real, eigs[g[0]].imag))
     reps = [complex(np.mean(eigs[g])) for g in groups]
 
     for rep, g in zip(reps, groups):
@@ -222,6 +216,14 @@ def spectral_decomposition(
     return SpectralDecomposition(tuple(values), projections, cluster_tol)
 
 
+def _max_commutator(mats) -> float:
+    """Largest pairwise commutator norm of a tuple (0 for a single member)."""
+    return max(
+        (operator_norm(commutator(a, b)) for i, a in enumerate(mats) for b in mats[i + 1:]),
+        default=0.0,
+    )
+
+
 @dataclass(frozen=True)
 class NormalTuple:
     """Ordered tuple of same-size normal contractions with recorded slack."""
@@ -239,12 +241,8 @@ class NormalTuple:
         for m in mats:
             if m.shape[0] != n:
                 raise LinalgError("tuple members have mixed dimensions")
-        cb = 0.0
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                cb = max(cb, operator_norm(commutator(mats[i], mats[j])))
         slack = max((max(0.0, operator_norm(m) - 1.0) for m in mats), default=0.0)
-        return cls(mats, cb, slack)
+        return cls(mats, _max_commutator(mats), slack)
 
     @property
     def dim(self) -> int:
@@ -311,12 +309,7 @@ def joint_diagonalize(
     """
     mats = _as_matrix_list(t)
     n = mats[0].shape[0]
-    cb = t.commutator_bound if isinstance(t, NormalTuple) else None
-    if cb is None:
-        cb = 0.0
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                cb = max(cb, operator_norm(commutator(mats[i], mats[j])))
+    cb = t.commutator_bound if isinstance(t, NormalTuple) else _max_commutator(mats)
     if cb > tol:
         raise JointDiagonalizationError(
             f"commutator bound {cb:.3e} exceeds tolerance {tol:.3e}"

@@ -21,14 +21,6 @@ def random_hermitian(rng: np.random.Generator, n: int, norm: float = 1.0) -> np.
     return h * (norm / cur) if cur > 0 else h
 
 
-def random_normal_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Normal matrix with eigenvalues drawn uniformly in the unit disk."""
-    radii = np.sqrt(rng.uniform(0.0, 1.0, n))
-    angles = rng.uniform(0.0, 2.0 * np.pi, n)
-    u = haar_unitary(rng, n)
-    return (u * (radii * np.exp(1j * angles))) @ u.conj().T
-
-
 def unitary_near_identity(rng: np.random.Generator, n: int, bound: float) -> np.ndarray:
     """Unitary V with ||1 - V|| <= bound (approximately attaining it)."""
     if bound <= 0:

@@ -102,22 +102,27 @@ class WordFunction:
         return cls(arity, comps)
 
 
-def eval_word_function(f: WordFunction, x, coeffs: Sequence | None = None) -> list[np.ndarray]:
-    """Evaluate each component on a tuple; adjoint slots get conjugate transposes."""
+def _eval_sums(sums, x, arity: int, what: str, coeffs) -> list[np.ndarray]:
+    """Evaluate sums of (alpha, word) terms on a tuple and its adjoints."""
     mats = _as_matrix_list(x)
-    if len(mats) != f.arity:
-        raise WordError(f"arity mismatch: function takes {f.arity}, tuple has {len(mats)}")
+    if len(mats) != arity:
+        raise WordError(f"arity mismatch: {what} takes {arity}, tuple has {len(mats)}")
     n = mats[0].shape[0]
     if coeffs is None:
         coeffs = [np.eye(n, dtype=complex)]
     variables = mats + [m.conj().T for m in mats]
     out = []
-    for comp in f.components:
+    for terms in sums:
         acc = np.zeros((n, n), dtype=complex)
-        for alpha, word in comp:
+        for alpha, word in terms:
             acc = acc + alpha * eval_word(word, coeffs, variables)
         out.append(acc)
     return out
+
+
+def eval_word_function(f: WordFunction, x, coeffs: Sequence | None = None) -> list[np.ndarray]:
+    """Evaluate each component on a tuple; adjoint slots get conjugate transposes."""
+    return _eval_sums(f.components, x, f.arity, "function", coeffs)
 
 
 @dataclass(frozen=True)
@@ -155,19 +160,8 @@ def commutator_system(nvars: int, eps: float) -> NCPolySystem:
 
 def variety_membership(x, system: NCPolySystem, coeffs: Sequence | None = None):
     """Evaluate residual norms of the system; member iff all are <= eps."""
-    mats = _as_matrix_list(x)
-    if len(mats) != system.nvars:
-        raise WordError(f"arity mismatch: system takes {system.nvars}, tuple has {len(mats)}")
-    n = mats[0].shape[0]
-    if coeffs is None:
-        coeffs = [np.eye(n, dtype=complex)]
-    variables = mats + [m.conj().T for m in mats]
-    residuals = []
-    for poly in system.polys:
-        acc = np.zeros((n, n), dtype=complex)
-        for alpha, word in poly:
-            acc = acc + alpha * eval_word(word, coeffs, variables)
-        residuals.append(operator_norm(acc))
+    values = _eval_sums(system.polys, x, system.nvars, "system", coeffs)
+    residuals = [operator_norm(v) for v in values]
     member = all(r <= system.eps for r in residuals)
     return member, residuals
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from matword import deformation
 from matword.deformation import (
     DeformationError,
     InstanceError,
@@ -295,3 +296,58 @@ class TestVerifyAulpac:
         spec = InstanceSpec("cube", 2, 8, 0.02, seed=82, polys=(Z2M1,))
         with pytest.raises(DeformationError):
             verify_aulpac(spec, 1)
+
+
+def gated_pass(r, eps_pass, size):
+    """A record's verdict recomputed from its recorded quantities and bounds."""
+    optional = (r.max_poly_residual, r.dilation_mismatch, r.recovery_residual)
+    return (
+        r.endpoint_residual <= 1e-8 * size
+        and r.max_commutation <= 1e-7 * size
+        and r.achieved_eps <= eps_pass
+        and r.relation_residual <= r.relation_bound
+        and all(v <= eps_pass for v in optional if v is not None)
+    )
+
+
+class TestTrialRecords:
+    @pytest.mark.parametrize(
+        "verify,spec,trials,eps_pass,size,outcome",
+        [
+            (verify_ulpac, InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3), 4, 0.2, 8, "pass"),
+            (verify_ulpac, InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3), 4, 0.02, 8, "fail"),
+            (verify_aulpac, InstanceSpec("cube", 2, 8, 0.02, 81), 3, 0.2, 16, "pass"),
+            (verify_aulpac, InstanceSpec("cube", 2, 8, 0.05, 7), 5, 0.027, 16, "fail"),
+        ],
+    )
+    def test_passed_is_the_conjunction_of_gates(self, verify, spec, trials, eps_pass, size,
+                                                outcome):
+        rep = verify(spec, trials, eps_pass=eps_pass)
+        verdicts = [r.passed for r in rep.records]
+        assert (all(verdicts) if outcome == "pass" else any(verdicts) and not all(verdicts))
+        for r in rep.records:
+            assert r.passed == gated_pass(r, eps_pass, size)
+
+    def test_refused_ulpac_trial(self):
+        # delta exceeds a sixth of the root gap of z^2 - 1, so the soft
+        # algebraic pipeline refuses every trial
+        rep = verify_ulpac(InstanceSpec("cube", 2, 8, 0.4, 3, (Z2M1,), 1e-3), 1)
+        (r,) = rep.records
+        assert r.passed is False
+        assert r.achieved_eps == r.relation_residual == np.inf
+        assert r.relation_bound == 0.0
+        assert r.dilation_mismatch is None and r.recovery_residual is None
+
+    def test_refused_aulpac_trial_keeps_dilation_mismatch(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise DeformationError("refused")
+
+        spec = InstanceSpec("cube", 2, 8, 0.02, 81)
+        (ok,) = verify_aulpac(spec, 1, eps_pass=0.2).records
+        monkeypatch.setattr(deformation, "connect_commuting", refuse)
+        (r,) = verify_aulpac(spec, 1, eps_pass=0.2).records
+        assert r.passed is False
+        assert r.achieved_eps == r.relation_residual == np.inf
+        assert r.relation_bound == 0.0
+        assert r.dilation_mismatch == ok.dilation_mismatch > 0.0
+        assert r.recovery_residual is None

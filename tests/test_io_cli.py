@@ -11,6 +11,12 @@ from matword.sampling import commuting_hermitian_tuple, random_hermitian
 from matword.words import commutator_system
 
 
+def csv_data_rows(path):
+    """Data rows of a CSV file: no '#' comment lines and no column header."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
 class TestMatrixContainer:
     def test_round_trip_single_matrix(self, tmp_path, rng):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -105,6 +111,10 @@ class TestFieldFiles:
         assert lines[0].startswith("#")
         assert lines[1] == "re,im,value,mask"
         assert len(lines) == 2 + g.size
+        rows = csv_data_rows(path)
+        nodes = [complex(float(r[0]), float(r[1])) for r in rows]
+        assert nodes == list(g.nodes)
+        assert [float(r[2]) for r in rows] == list(field.values)
 
     def test_grid_json_round_trip(self, tmp_path):
         from matword.pseudospectra import quadtree_grid
@@ -166,6 +176,9 @@ class TestCli:
              "--grid", "cheb:101x101", "--level", "0.3", "--out", str(cout)]
         ) == 0
         assert cout.read_text().count("\n") > 10
+        rows = csv_data_rows(cout)
+        assert rows and all(len(r) == 4 and r[0].isdigit() and r[1].isdigit() for r in rows)
+        assert np.isfinite([[float(r[2]), float(r[3])] for r in rows]).all()
 
     def test_grid_generate_and_refine(self, tmp_path):
         gout = tmp_path / "g.json"

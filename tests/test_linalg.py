@@ -17,6 +17,7 @@ from matword.linalg import (
     polar_decomposition,
     principal_unitary_log,
     spectral_decomposition,
+    threshold_clusters,
 )
 from matword.sampling import commuting_hermitian_tuple, haar_unitary, random_hermitian
 
@@ -96,6 +97,54 @@ class TestCartesianDecomposition:
         assert operator_norm(a - (h + 1j * k)) <= 1e-14
         assert operator_norm(h - h.conj().T) < 1e-14
         assert operator_norm(k - k.conj().T) < 1e-14
+
+
+def union_find_clusters(points, tol):
+    """Reference single linkage: the O(n^2) union-find over max-of-moduli gaps
+    that ``threshold_clusters`` replaced, labels numbered by lowest member."""
+    pts = [np.atleast_1d(p) for p in np.asarray(points, dtype=complex)]
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for k in range(i + 1, len(pts)):
+            if max(abs(a - b) for a, b in zip(pts[i], pts[k])) <= tol:
+                ri, rk = find(i), find(k)
+                if ri != rk:
+                    parent[max(ri, rk)] = min(ri, rk)
+    seen: dict[int, int] = {}
+    return np.array([seen.setdefault(find(i), len(seen)) for i in range(len(pts))])
+
+
+class TestThresholdClusters:
+    def test_chain_links_and_numbering(self):
+        labels = threshold_clusters(np.array([0.5, 0.0, 0.1, 0.55, 0.2]), 0.1)
+        assert labels.tolist() == [0, 1, 1, 0, 1]
+
+    def test_max_of_moduli_metric(self):
+        pts = np.array([[0.0, 0.0], [0.05, 0.3], [0.05, 0.0]])
+        assert threshold_clusters(pts, 0.1).tolist() == [0, 1, 0]
+
+    def test_matches_union_find_oracle_on_grid_ties(self):
+        # Points on a 0.01 grid make gaps land exactly on the thresholds, where
+        # np.abs on complex arrays and the scalar abs() can disagree in the
+        # last ulp; both uses (complex spectra and stacked joint diagonals)
+        # must reproduce the union-find labels exactly.
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+            tol = float(rng.choice([1e-9, 0.01, 0.05, 0.2]))
+            pts = (np.round(rng.uniform(-0.15, 0.15, (n, m)), 2)
+                   + 1j * np.round(rng.uniform(-0.15, 0.15, (n, m)), 2))
+            for points in (pts[:, 0], np.stack(list(pts.T), 1)):
+                want = union_find_clusters(points, tol)
+                got = threshold_clusters(points, tol)
+                assert np.array_equal(got, want), (seed, tol)
 
 
 class TestSpectralDecomposition:
