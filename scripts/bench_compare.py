@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Benchmark a parent checkout against a changed one and write a BENCH json.
+
+Runs ``perfbench/run.py`` of each checkout in alternating pairs (the parent
+first in even pairs, the change first in odd ones), pair k on seed k + 1,
+then one traced run per side and workload for the per-layer metrics, then
+the tier-1 suite once per side for its wall time.  The record holds every
+run, each side's median and quartiles, the change's win count, and the
+environment each side reported (BLAS threads, nproc, git SHA, a digest of
+its ``src/matword``).
+
+Run:  python scripts/bench_compare.py --parent ../parent --change . \\
+          --pairs 10 --out BENCH_topic.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("desk-aulpac", "ginibre-ulpac")
+END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
+         "no:cacheprovider"]
+
+
+def src_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((root / "src" / "matword").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-2])
+
+
+def tier1(root: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - start, "summary": proc.stdout.strip().splitlines()[-1]}
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "all": values}
+
+
+def compare_pairs(parent: list[float], change: list[float]) -> dict:
+    """Each side's median and quartiles, and how often the change is lower."""
+    p, c = summary(parent), summary(change)
+    return {"parent": p, "change": c, "change_wins": sum(b < a for a, b in zip(parent, change)),
+            "pairs": len(parent), "median_delta": c["median"] - p["median"],
+            "parent_iqr": p["q3"] - p["q1"]}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=55.0)
+    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    runs = {w: {side: [] for side in sides} for w in args.workloads}
+    for w in args.workloads:
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                rec = bench(sides[side], w, k + 1, args.seconds, 0)
+                runs[w][side].append({
+                    "seed": k + 1, "correct": rec["checks"]["failed"] == 0,
+                    **{m: rec["end_to_end"][m]["value"] for m in END_TO_END},
+                    "parts_run_s": {p: t["value"] for p, t in rec["parts_run_s"].items()},
+                    "environment": rec["environment"],
+                })
+                print(f"{w} pair {k} {side}: run_s {runs[w][side][-1]['run_s']:.3f}",
+                      file=sys.stderr, flush=True)
+
+    result = {"sides": {}, "workloads": {}}
+    for side, root in sides.items():
+        env = runs[args.workloads[0]][side][0]["environment"]
+        result["sides"][side] = {"src_sha256": src_digest(root),
+                                 "git_sha": env["git_sha"], "blas_threads": env["blas_threads"],
+                                 "nproc": env["nproc"], "tier1": tier1(root)}
+    for w in args.workloads:
+        entry = {m: compare_pairs([r[m] for r in runs[w]["parent"]],
+                                  [r[m] for r in runs[w]["change"]]) for m in END_TO_END}
+        entry["parts_run_s"] = {
+            part: compare_pairs([r["parts_run_s"][part] for r in runs[w]["parent"]],
+                                [r["parts_run_s"][part] for r in runs[w]["change"]])
+            for part in runs[w]["parent"][0]["parts_run_s"]
+        }
+        entry["all_correct"] = all(r["correct"] for side in sides for r in runs[w][side])
+        entry["blas_threads"] = {side: runs[w][side][0]["environment"]["blas_threads"]
+                                 for side in sides}
+        entry["traced_seed0"] = {side: bench(root, w, 0, args.seconds, 1)["per_layer"]
+                                 for side, root in sides.items()}
+        result["workloads"][w] = entry
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

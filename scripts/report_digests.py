@@ -7,16 +7,17 @@ the CSV body (without '#' comment lines) of several ``matword verify`` runs:
 the two shapes the benchmark runs, an AULPAC cube run where some trials
 fail their bounds, and a ULPAC run whose trials are all refused.
 
-Digests depend on the BLAS thread count, so compare two checkouts under the
-same ``OPENBLAS_NUM_THREADS``; the first line records it.
+The first line records the thread count each bundled OpenBLAS reports
+(``matword.config.blas_threads``); ``import matword`` pins it to
+MATWORD_THREADS, 1 when unset, so the digests do not depend on
+OPENBLAS_NUM_THREADS.
 
-Run:  OPENBLAS_NUM_THREADS=1 python scripts/report_digests.py > digests.txt
+Run:  python scripts/report_digests.py > digests.txt
 """
 
 import contextlib
 import hashlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 import test_acceptance  # noqa: E402
+from matword import config  # noqa: E402
 from matword.cli import dispatch  # noqa: E402
 
 VERIFY_RUNS = {
@@ -54,7 +56,7 @@ def _sha(data: bytes) -> str:
 
 
 def main():
-    print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    print(f"# blas_threads={config.blas_threads()}")
     for k in range(1, 9):
         build = getattr(test_acceptance, f"criterion_{k}_report")
         print(f"c{k} {_sha(test_acceptance._report_bytes(build()))}")

@@ -80,4 +80,9 @@ from .words import (
     variety_membership,
 )
 
+from . import config
+
 __version__ = "0.1.0"
+
+# after the imports above, which load scipy's OpenBLAS as well as numpy's
+config.apply_env()

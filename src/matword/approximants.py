@@ -170,6 +170,8 @@ class IsospectralApproximant:
     source_distance: float  # max_j ||W X_j W* - X_j||
     target_distance: float  # max_j ||W X_j W* - Y_j||
     commutation_residual: float  # max_j ||[W X_j W*, Y_j]||
+    # (U, diagonals) of the target's joint diagonalization, when matched to one
+    target_basis: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
 
     @property
     def dim(self) -> int:
@@ -224,7 +226,7 @@ def joint_isospectral_approximant(
     pair costs the maximum coordinatewise modulus difference, plus an
     eigenvector-overlap tie-break at the scale of the pair distance.
     Spectra are preserved exactly (conjugation); distances to source and
-    target are recorded.
+    target are recorded, and so is Y's joint eigenbasis.
     """
     if x.arity != y.arity or x.dim != y.dim:
         raise ApproximantError("tuples must share arity and dimension")
@@ -262,7 +264,10 @@ def joint_isospectral_approximant(
     comm = max(
         operator_norm(commutator(w @ xj @ w.conj().T, yj)) for xj, yj in zip(x, y)
     )
-    return IsospectralApproximant(frozen(w), frozen(perm), matched, src, tgt, comm)
+    return IsospectralApproximant(
+        frozen(w), frozen(perm), matched, src, tgt, comm,
+        (frozen(uy), tuple(frozen(d) for d in dy)),
+    )
 
 
 def _lattice_candidates(step: float, count: int):

@@ -237,7 +237,8 @@ def _cmd_words(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="matword", description=__doc__)
     ap.add_argument("--threads", type=int, default=None,
-                    help="thread hint (0 = auto); falls back to MATWORD_THREADS")
+                    help="BLAS threads (0 = the library's default); falls back to "
+                         "MATWORD_THREADS, then 1")
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("scan", help="pseudospectrum field, mask and scanning triples")
@@ -351,9 +352,8 @@ def dispatch(argv) -> int:
     if getattr(args, "command", None) is None:
         ap.print_usage()
         return EXIT_USAGE
-    if args.threads is not None:
-        config.set_threads(args.threads)
     try:
+        config.set_threads(config.env_threads() if args.threads is None else args.threads)
         return args.func(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

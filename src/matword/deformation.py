@@ -246,7 +246,7 @@ def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:
 
 
 def _curved_connect(
-    x: NormalTuple, y: NormalTuple, n_seg: int, degeneracy_tol: float = 1e-9
+    x: NormalTuple, y: NormalTuple, delta: float, n_seg: int, degeneracy_tol: float = 1e-9
 ) -> tuple[list[MatrixPath], float]:
     """Curved paths conjugating X into Y's joint-diagonal algebra.
 
@@ -257,11 +257,11 @@ def _curved_connect(
     cross-cluster leakage counts against compressibility.  The paths then
     conjugate by the principal-log flow of What* W.
 
-    Returns the per-member paths and ||W - What||.
+    ``delta`` is the pair distance of X and Y.  Returns the per-member
+    paths and ||W - What||.
     """
-    delta = _pair_distance(x, y)
     psi = joint_isospectral_approximant(x, y, delta)
-    uy, dy = joint_diagonalize(y, tol=max(y.commutator_bound, 1e-12))
+    uy, dy = psi.target_basis
     labels = threshold_clusters(np.stack(dy, 1), degeneracy_tol).astype(float)
     d_gen = (uy * labels) @ uy.conj().T
     ncu = nearby_commuting_unitary(psi.w, d_gen, cluster_tol=0.25, min_gap=0.5)
@@ -283,6 +283,7 @@ def _assemble_result(
     y: NormalTuple,
     eps: float | None,
     polys,
+    delta: float,
     compressibility: float,
 ) -> DeformationResult:
     n = x.dim
@@ -315,7 +316,7 @@ def _assemble_result(
         paths=tuple(paths),
         achieved_eps=max(rep.max_residual("distance-to-target") for rep in reports),
         reports=tuple(reports),
-        delta_in=_pair_distance(x, y),
+        delta_in=delta,
         endpoint_residual=endpoint,
         max_commutation=max(comm_vals, default=0.0),
         max_poly_residual=max(poly_vals) if poly_vals else None,
@@ -331,11 +332,11 @@ def _check_endpoint_residuals(polys, x, y, bound: float, reason: str):
                 raise DeformationError(f"||p_{j}({name}_{j})|| = {r:.3e}{reason}")
 
 
-def _curved_then_flat(x, y, eps, polys, n_samples: int) -> DeformationResult:
+def _curved_then_flat(x, y, delta, eps, polys, n_samples: int) -> DeformationResult:
     seg = (n_samples + 1) // 2
-    curved, deviation = _curved_connect(x, y, seg)
+    curved, deviation = _curved_connect(x, y, delta, seg)
     paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
-    return _assemble_result(paths, x, y, eps, polys, deviation)
+    return _assemble_result(paths, x, y, eps, polys, delta, deviation)
 
 
 def connect_commuting(
@@ -351,7 +352,7 @@ def connect_commuting(
     commutation holds along the whole path; spectra are preserved on the
     curved half.
     """
-    return _curved_then_flat(x, y, eps, None, n_samples)
+    return _curved_then_flat(x, y, _pair_distance(x, y), eps, None, n_samples)
 
 
 def connect_algebraic(
@@ -379,7 +380,7 @@ def connect_algebraic(
         raise DeformationError(
             f"pair distance {delta:.3e} exceeds a third of the root gap {gap:.3e}"
         )
-    return _curved_then_flat(x, y, eps, polys, n_samples)
+    return _curved_then_flat(x, y, delta, eps, polys, n_samples)
 
 
 def _project_to_roots(
@@ -430,14 +431,14 @@ def connect_soft_algebraic(
     yhat = NormalTuple.from_matrices(_project_to_roots(uy, dy, polys, delta))
 
     seg = ((n_samples or DEFAULT_SAMPLES) + 2) // 3 + 1
-    curved, deviation = _curved_connect(xhat, yhat, seg)
+    curved, deviation = _curved_connect(xhat, yhat, _pair_distance(xhat, yhat), seg)
 
     paths = []
     for j, c in enumerate(curved):
         head = flat_path(x[j], xhat[j], seg)
         tail = flat_path(yhat[j], y[j], seg)
         paths.append(concat(concat(head, c), tail))
-    return _assemble_result(paths, x, y, eps, polys, deviation)
+    return _assemble_result(paths, x, y, eps, polys, _pair_distance(x, y), deviation)
 
 
 # ---------------------------------------------------------------------------

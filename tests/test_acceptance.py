@@ -7,10 +7,15 @@ PASS line with the headline numbers (visible under ``pytest -s``).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matword
 from matword.approximants import (
     IsospectralApproximant,
     dilate,
@@ -400,3 +405,29 @@ def test_criterion_9_determinism():
             mismatched.append(name)
     assert not mismatched, f"non-deterministic report bodies: {mismatched}"
     print("\ncriterion 9: PASS  criteria 1-8 reports byte-identical on rerun")
+
+
+# Criterion 5's quantities, printed by a fresh interpreter: both digits
+# move with the BLAS thread count unless ``import matword`` pins it.
+_THREAD_PROBE = """
+from test_acceptance import _clustered_pair
+from matword.minpoly import approx_min_poly
+x, y, comm = _clustered_pair()
+p, residual = approx_min_poly(x + 1j * y, 1e-2, 10, seed=5)
+print(repr(comm), repr(residual))
+"""
+
+
+def test_reports_independent_of_blas_threads():
+    src = Path(matword.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "MATWORD_THREADS"}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env,
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1], f"output depends on OPENBLAS_NUM_THREADS: {outputs}"

@@ -1,14 +1,34 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from matword import io
+from matword import config, io
 from matword.cli import dispatch
 from matword.linalg import NormalTuple
 from matword.minpoly import PolyC
 from matword.sampling import commuting_hermitian_tuple, random_hermitian
 from matword.words import commutator_system
+
+
+def openblas_default_threads() -> int:
+    """Thread count OpenBLAS starts with: its first environment setting,
+    capped at the usable cores, else one per usable core."""
+    cores = len(os.sched_getaffinity(0))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cores)
+    return cores
+
+
+@pytest.fixture
+def restore_threads():
+    """Put the BLAS thread count back to what ``import matword`` set; request
+    it before ``monkeypatch`` so the environment is restored first."""
+    yield
+    config.apply_env()
 
 
 def csv_data_rows(path):
@@ -281,11 +301,31 @@ class TestCli:
         back = io.load_matrices(out)
         assert all(np.allclose(a, b) for a, b in zip(back, mats))
 
-    def test_threads_flag_accepted(self, tmp_path, rng):
+    def test_threads_flag_accepted(self, tmp_path, restore_threads):
         a = tmp_path / "a.json"
         io.save_matrices(a, np.diag([0.0, 1.0]))
         out = tmp_path / "f.csv"
-        assert dispatch(
-            ["--threads", "2", "scan", "--input", str(a), "--eps", "0.5",
-             "--grid", "cheb:5x5", "--bounds", "-2,2,-2,2", "--out", str(out)]
-        ) == 0
+        # each step changes the count from the one before (the import sets 1)
+        for threads, expected in (("2", 2), ("1", 1), ("0", openblas_default_threads())):
+            assert dispatch(
+                ["--threads", threads, "scan", "--input", str(a), "--eps", "0.5",
+                 "--grid", "cheb:5x5", "--bounds", "-2,2,-2,2", "--out", str(out)]
+            ) == 0
+            if config.blas_threads() is None:
+                pytest.skip("numpy and scipy do not bundle OpenBLAS here")
+            assert config.blas_threads() == {"numpy": expected, "scipy": expected}
+
+    def test_negative_threads_is_usage_error(self, tmp_path, capsys, restore_threads):
+        out = tmp_path / "g.json"
+        assert dispatch(["--threads", "-1", "grid", "generate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: thread count must be >= 0")
+        assert not out.exists()
+
+    def test_malformed_threads_env_is_usage_error(
+        self, tmp_path, capsys, restore_threads, monkeypatch
+    ):
+        monkeypatch.setenv("MATWORD_THREADS", "two")
+        out = tmp_path / "g.json"
+        assert dispatch(["grid", "generate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: MATWORD_THREADS must be an integer")
+        assert not out.exists()
