@@ -5,7 +5,9 @@ One line per report: the acceptance criteria 1-8 bodies (serialized exactly
 as tests/test_acceptance.py does for criterion 9), then the JSON report and
 the CSV body (without '#' comment lines) of several ``matword verify`` runs:
 the two shapes the benchmark runs, an AULPAC cube run where some trials
-fail their bounds, and a ULPAC run whose trials are all refused.
+fail their bounds, and a ULPAC run whose trials are all refused.  Last come
+the JSON report and the exported path samples of one ``matword deform`` run
+per mode (gujc, algebraic, soft), each on a seeded ``matword generate`` pair.
 
 The first line records the thread count each bundled OpenBLAS reports
 (``matword.config.blas_threads``); ``import matword`` pins it to
@@ -50,6 +52,24 @@ VERIFY_RUNS = {
     ],
 }
 
+# mode -> (generate arguments, deform arguments)
+DEFORM_RUNS = {
+    "gujc": (
+        ["--kind", "cube", "--m", "2", "--n", "12", "--delta", "0.02", "--seed", "11"],
+        ["--eps", "0.2"],
+    ),
+    "algebraic": (
+        ["--kind", "cube", "--m", "2", "--n", "12", "--delta", "0.05", "--seed", "12",
+         "--polys", "z^2-1"],
+        ["--polys", "z^2-1", "--eps", "0.2"],
+    ),
+    "soft": (
+        ["--kind", "cube", "--m", "2", "--n", "12", "--delta", "0.02", "--seed", "13",
+         "--polys", "z^2-1", "--eps-alg", "1e-3"],
+        ["--polys", "z^2-1", "--delta", "0.05", "--eps", "0.2"],
+    ),
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -72,6 +92,16 @@ def main():
             print(f"{name}.exit {code}")
             print(f"{name}.json {_sha(report.read_bytes())}")
             print(f"{name}.csv {_sha(body.encode())}")
+        for mode, (generate, deform) in DEFORM_RUNS.items():
+            x, y = Path(tmp, f"{mode}-x.json"), Path(tmp, f"{mode}-y.json")
+            report, paths = Path(tmp, f"{mode}.json"), Path(tmp, f"{mode}-paths.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                dispatch(["generate", *generate, "--out", str(x), "--out-y", str(y)])
+                code = dispatch(["deform", mode, "--x", str(x), "--y", str(y), *deform,
+                                 "--report", str(report), "--paths", str(paths)])
+            print(f"deform-{mode}.exit {code}")
+            print(f"deform-{mode}.json {_sha(report.read_bytes())}")
+            print(f"deform-{mode}.paths {_sha(paths.read_bytes())}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .linalg import (
     default_tol,
     frozen,
     joint_diagonalize,
+    max_commutator,
     operator_norm,
     polar_decomposition,
 )
@@ -259,11 +260,10 @@ def joint_isospectral_approximant(
     p[perm, np.arange(n)] = 1.0
     w = uy @ p @ ux.conj().T
 
-    src = max(operator_norm(w @ xj @ w.conj().T - xj) for xj in x)
-    tgt = max(operator_norm(w @ xj @ w.conj().T - yj) for xj, yj in zip(x, y))
-    comm = max(
-        operator_norm(commutator(w @ xj @ w.conj().T, yj)) for xj, yj in zip(x, y)
-    )
+    wx = [w @ xj @ w.conj().T for xj in x]
+    src = max(operator_norm(a - xj) for a, xj in zip(wx, x))
+    tgt = max(operator_norm(a - yj) for a, yj in zip(wx, y))
+    comm = max_commutator(zip(wx, y))
     return IsospectralApproximant(
         frozen(w), frozen(perm), matched, src, tgt, comm,
         (frozen(uy), tuple(frozen(d) for d in dy)),

@@ -6,8 +6,9 @@ threads make SVDs and eigensolvers slower, and they change the last digits
 of results, so ``import matword`` sets both libraries to MATWORD_THREADS
 threads, 1 when the variable is unset.  CLI ``--threads`` wins over the
 environment variable.  0 means automatic: each library goes back to the
-count it started with (OPENBLAS_NUM_THREADS, else one per core).  With any
-other BLAS (MKL, a distribution's shared OpenBLAS) nothing is set and
+count it started with (OPENBLAS_NUM_THREADS, else one per core).  A count
+above the usable cores is capped at the core count.  With any other BLAS
+(MKL, a distribution's shared OpenBLAS) nothing is set and
 ``blas_threads()`` returns None.
 """
 
@@ -64,11 +65,15 @@ def _bundled() -> list[_OpenBLAS]:
 
 
 def set_threads(count: int):
-    """Run the bundled OpenBLAS libraries on ``count`` threads (0 = their own default)."""
+    """Run the bundled OpenBLAS libraries on ``count`` threads (0 = their own
+    default), never on more threads than there are usable cores."""
     if count < 0:
         raise ValueError(f"thread count must be >= 0, got {count}")
+    # the cores this process may run on; all cores where affinity is unknown
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     for lib in _bundled():
-        lib.set_num_threads(count or lib.default)
+        lib.set_num_threads(min(count or lib.default, cores))
 
 
 def env_threads() -> int:

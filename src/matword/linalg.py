@@ -8,6 +8,7 @@ structural check takes an explicit tolerance; defaults scale as 1e-8 * n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -37,9 +38,11 @@ def as_square(a) -> np.ndarray:
     return a
 
 
-def operator_norm(a) -> float:
-    """Largest singular value."""
+def operator_norm(a):
+    """Largest singular value; an (s, n, n) stack gives one per matrix."""
     a = np.asarray(a)
+    if a.ndim == 3:
+        return np.linalg.norm(a, 2, axis=(1, 2)) if a.size else np.zeros(len(a))
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
@@ -216,12 +219,9 @@ def spectral_decomposition(
     return SpectralDecomposition(tuple(values), projections, cluster_tol)
 
 
-def _max_commutator(mats) -> float:
-    """Largest pairwise commutator norm of a tuple (0 for a single member)."""
-    return max(
-        (operator_norm(commutator(a, b)) for i, a in enumerate(mats) for b in mats[i + 1:]),
-        default=0.0,
-    )
+def max_commutator(pairs) -> float:
+    """Largest commutator norm over (A, B) pairs, in order; 0 when there are none."""
+    return max((operator_norm(commutator(a, b)) for a, b in pairs), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ class NormalTuple:
             if m.shape[0] != n:
                 raise LinalgError("tuple members have mixed dimensions")
         slack = max((max(0.0, operator_norm(m) - 1.0) for m in mats), default=0.0)
-        return cls(mats, _max_commutator(mats), slack)
+        return cls(mats, max_commutator(combinations(mats, 2)), slack)
 
     @property
     def dim(self) -> int:
@@ -309,7 +309,7 @@ def joint_diagonalize(
     """
     mats = _as_matrix_list(t)
     n = mats[0].shape[0]
-    cb = t.commutator_bound if isinstance(t, NormalTuple) else _max_commutator(mats)
+    cb = t.commutator_bound if isinstance(t, NormalTuple) else max_commutator(combinations(mats, 2))
     if cb > tol:
         raise JointDiagonalizationError(
             f"commutator bound {cb:.3e} exceeds tolerance {tol:.3e}"

@@ -51,11 +51,12 @@ def poly_eval(p: PolyC, z):
 
 
 def poly_eval_matrix(p: PolyC, a) -> np.ndarray:
-    a = as_square(a)
-    n = a.shape[0]
-    out = complex(p.coeffs[-1]) * np.eye(n, dtype=complex)
+    """p(A) by Horner's rule; an (s, n, n) stack gives one p(A) per matrix."""
+    a = as_square(a) if np.ndim(a) == 2 else np.asarray(a, dtype=complex)
+    eye = np.eye(a.shape[-1])
+    out = np.broadcast_to(complex(p.coeffs[-1]) * eye.astype(complex), a.shape).copy()
     for c in p.coeffs[-2::-1]:
-        out = out @ a + complex(c) * np.eye(n)
+        out = out @ a + complex(c) * eye
     return out
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_square, hermitian_part, operator_norm
+from .linalg import hermitian_part, operator_norm
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -45,8 +45,3 @@ def ginibre(rng: np.random.Generator, n: int, scale: float | None = None) -> np.
     """Complex Gaussian matrix, normalized so the spectrum sits near the unit disk."""
     scale = 1.0 / np.sqrt(n) if scale is None else scale
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-
-
-def conjugate(u, x) -> np.ndarray:
-    u = as_square(u)
-    return u @ as_square(x) @ u.conj().T

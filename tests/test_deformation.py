@@ -19,7 +19,7 @@ from matword.deformation import (
 )
 from matword.linalg import NormalTuple, operator_norm
 from matword.minpoly import PolyC, poly_eval_matrix, poly_residual
-from matword.paths import spectrum_drift
+from matword.paths import NormalityConstraint, spectrum_drift
 from matword.sampling import unitary_near_identity
 
 Z2M1 = PolyC((-1.0, 0.0, 1.0))  # z^2 - 1
@@ -351,3 +351,17 @@ class TestTrialRecords:
         assert r.relation_bound == 0.0
         assert r.dilation_mismatch == ok.dilation_mismatch > 0.0
         assert r.recovery_residual is None
+
+
+def test_normality_is_gated(monkeypatch):
+    # a bound no path can meet: every trial must fail on the normality entry alone
+    monkeypatch.setattr(deformation, "NormalityConstraint", lambda bound: NormalityConstraint(-1.0))
+    runs = [
+        verify_ulpac(InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3), 3, eps_pass=0.2),
+        verify_aulpac(InstanceSpec("cube", 2, 8, 0.02, 81), 3, eps_pass=0.2),
+    ]
+    for rep in runs:
+        assert len(rep.records) == 3
+        for r in rep.records:
+            assert r.passed is False
+            assert np.isfinite(r.achieved_eps)  # connected, not refused

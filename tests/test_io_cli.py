@@ -306,7 +306,9 @@ class TestCli:
         io.save_matrices(a, np.diag([0.0, 1.0]))
         out = tmp_path / "f.csv"
         # each step changes the count from the one before (the import sets 1)
-        for threads, expected in (("2", 2), ("1", 1), ("0", openblas_default_threads())):
+        # wherever there are two usable cores; counts are capped at the cores
+        two = min(2, len(os.sched_getaffinity(0)))
+        for threads, expected in (("2", two), ("1", 1), ("0", openblas_default_threads())):
             assert dispatch(
                 ["--threads", threads, "scan", "--input", str(a), "--eps", "0.5",
                  "--grid", "cheb:5x5", "--bounds", "-2,2,-2,2", "--out", str(out)]
@@ -314,6 +316,18 @@ class TestCli:
             if config.blas_threads() is None:
                 pytest.skip("numpy and scipy do not bundle OpenBLAS here")
             assert config.blas_threads() == {"numpy": expected, "scipy": expected}
+
+    def test_thread_count_capped_at_usable_cores(self, monkeypatch):
+        counts = []
+        fake = config._OpenBLAS("fake", counts.append, lambda: counts[-1], default=1)
+        monkeypatch.setattr(config, "_libraries", [fake])
+        cores = len(os.sched_getaffinity(0))
+        config.set_threads(2**40)
+        config.set_threads(cores + 1)
+        monkeypatch.setenv("MATWORD_THREADS", str(cores + 1))
+        config.apply_env()
+        config.set_threads(0)
+        assert counts == [cores, cores, cores, 1]
 
     def test_negative_threads_is_usage_error(self, tmp_path, capsys, restore_threads):
         out = tmp_path / "g.json"

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from matword.linalg import operator_norm, phase_exp
+from matword import deformation
+from matword.linalg import commutator, operator_norm, phase_exp
 from matword.minpoly import PolyC
 from matword.paths import (
     CommutationConstraint,
+    MatrixPath,
     NormalityConstraint,
     PathError,
     PolynomialConstraint,
     TargetDistanceConstraint,
+    _constraint_residuals,
     concat,
     curved_path,
     export_records,
@@ -214,3 +217,110 @@ def test_curved_path_matches_phase_exp(rng):
     p = curved_path(h, d, 5)
     u = phase_exp(h, 0.5)
     assert operator_norm(p.samples[2] - u @ d @ u.conj().T) < 1e-12
+
+
+def looped_horner(poly, a):
+    """p(A) for one matrix, the Horner loop the stacked evaluation replaced."""
+    n = a.shape[0]
+    out = complex(poly.coeffs[-1]) * np.eye(n, dtype=complex)
+    for c in poly.coeffs[-2::-1]:
+        out = out @ a + complex(c) * np.eye(n)
+    return out
+
+
+def looped_residuals(p, c):
+    """Reference per-sample residuals: one operator_norm call per sample."""
+    out = np.empty(p.n_samples)
+    for i, s in enumerate(p.samples):
+        if isinstance(c, CommutationConstraint):
+            partner = c.partner.samples[i] if isinstance(c.partner, MatrixPath) else c.partner
+            out[i] = operator_norm(commutator(s, partner))
+        elif isinstance(c, PolynomialConstraint):
+            out[i] = operator_norm(looped_horner(c.poly, s))
+        elif isinstance(c, NormalityConstraint):
+            out[i] = operator_norm(commutator(s, s.conj().T))
+        else:
+            out[i] = operator_norm(s - c.target)
+    return out
+
+
+def looped_relation_residual(tuples, kind):
+    """Reference relation residual over a sequence of matrix tuples."""
+    worst = 0.0
+    for mats in tuples:
+        if kind == "cube":
+            for z in mats:
+                worst = max(worst, max(0.0, operator_norm(z) - 1.0))
+        else:
+            n = mats[0].shape[0]
+            acc = np.zeros((n, n), dtype=complex)
+            for z in mats:
+                acc = acc + z @ z
+            worst = max(worst, operator_norm(acc - np.eye(n)))
+    return worst
+
+
+def random_stack(rng, s, n, scale=1.0):
+    z = rng.standard_normal((s, n, n)) + 1j * rng.standard_normal((s, n, n))
+    return scale * z / np.sqrt(2 * n)
+
+
+def random_path(rng, s, n):
+    return MatrixPath(np.linspace(0.0, 1.0, s), random_stack(rng, s, n), "flat")
+
+
+# sample counts on and off the 16-sample block boundary
+STACK_SHAPES = [(n, s) for n in (1, 3, 16, 64) for s in (2, 17, 65)]
+
+
+class TestStackedResiduals:
+    @pytest.mark.parametrize("n,s", STACK_SHAPES)
+    def test_every_constraint_matches_looped_oracle(self, n, s):
+        rng = np.random.default_rng(1000 * n + s)
+        p = random_path(rng, s, n)
+        constraints = [
+            CommutationConstraint(random_path(rng, s, n), 1.0),
+            CommutationConstraint(random_stack(rng, 1, n)[0], 1.0),
+            NormalityConstraint(1.0),
+            TargetDistanceConstraint(random_stack(rng, 1, n)[0], 1.0),
+            PolynomialConstraint(PolyC((0.3 - 0.1j, -1.0, 0.5j, 1.0)), 1.0),
+        ]
+        for c in constraints:
+            expected = looped_residuals(p, c)
+            assert np.array_equal(_constraint_residuals(p, c), expected)
+            (entry,) = verify_path(p, [c]).entries
+            assert entry.max_residual == expected.max()
+            assert entry.worst_t == p.times[np.argmax(expected)]
+
+    @pytest.mark.parametrize("kind", ["cube", "sphere"])
+    @pytest.mark.parametrize("n,s", STACK_SHAPES)
+    def test_relation_residual_matches_looped_oracle(self, kind, n, s):
+        rng = np.random.default_rng(2000 * n + s)
+        # norms near 1, so the cube's contraction slack is exercised
+        stacks = [random_stack(rng, s, n, scale=0.6) for _ in range(3)]
+        got = deformation._relation_residual(stacks, kind)
+        assert got == looped_relation_residual(zip(*stacks), kind)
+        mats = [z[-1] for z in stacks]
+        assert deformation._relation_residual(mats, kind) == looped_relation_residual(
+            [mats], kind
+        )
+
+    def test_partner_on_another_time_grid_rejected(self, rng):
+        p = random_path(rng, 5, 3)
+        other = MatrixPath(np.array([0.0, 0.1, 0.2, 0.6, 1.0]), random_stack(rng, 5, 3), "flat")
+        for partner in (other, random_path(rng, 9, 3), random_path(rng, 5, 4)):
+            with pytest.raises(PathError):
+                verify_path(p, [CommutationConstraint(partner, 1.0)])
+
+    def test_fixed_matrix_of_another_size_rejected(self, rng):
+        p = random_path(rng, 5, 3)
+        for c in (CommutationConstraint(np.eye(4), 1.0), TargetDistanceConstraint(np.eye(2), 1.0)):
+            with pytest.raises(PathError):
+                verify_path(p, [c])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_sample_rejected(self, rng, bad):
+        samples = random_stack(rng, 5, 3)
+        samples[2, 1, 0] = bad
+        with pytest.raises(PathError, match="non-finite"):
+            MatrixPath(np.linspace(0.0, 1.0, 5), samples, "flat")
