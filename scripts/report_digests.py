@@ -8,6 +8,10 @@ the two shapes the benchmark runs, an AULPAC cube run where some trials
 fail their bounds, and a ULPAC run whose trials are all refused.  Last come
 the JSON report and the exported path samples of one ``matword deform`` run
 per mode (gujc, algebraic, soft), each on a seeded ``matword generate`` pair.
+Then the pseudospectra commands on the benchmark's seed-0 inputs: the field
+CSV body and the triples JSON of ``matword scan`` on the desk-cluster pair
+and on the Ginibre matrix, and the grid JSON of ``matword grid generate``
+followed by three chained ``matword grid refine`` runs on the Ginibre matrix.
 
 The first line records the thread count each bundled OpenBLAS reports
 (``matword.config.blas_threads``); ``import matword`` pins it to
@@ -27,8 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import test_acceptance  # noqa: E402
+import workloads  # noqa: E402
 from matword import config  # noqa: E402
 from matword.cli import dispatch  # noqa: E402
 
@@ -71,8 +77,28 @@ DEFORM_RUNS = {
 }
 
 
+# name -> (benchmark part whose seed-0 input is scanned, its input file, grid, eps, bounds)
+SCAN_RUNS = {
+    "scan-desk": (workloads.DESK_CLUSTER, "pair.json", workloads.DESK_SCAN_GRID,
+                  workloads.DESK_EPS, workloads.DESK_BOUNDS),
+    "scan-ginibre": (workloads.GINIBRE_REFINE, "ginibre.json", workloads.GINIBRE_SCAN_GRID,
+                     workloads.GINIBRE_EPS, workloads.GINIBRE_BOUNDS),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _csv_body(path: Path) -> bytes:
+    return "\n".join(
+        ln for ln in path.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")
+    ).encode()
+
+
+def _quiet(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return dispatch(argv)
 
 
 def main():
@@ -83,25 +109,38 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in VERIFY_RUNS.items():
             report, csv = Path(tmp, f"{name}.json"), Path(tmp, f"{name}.csv")
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = dispatch(["verify", *argv, "--report", str(report), "--csv", str(csv)])
-            body = "\n".join(
-                ln for ln in csv.read_text(encoding="utf-8").splitlines()
-                if not ln.startswith("#")
-            )
+            code = _quiet(["verify", *argv, "--report", str(report), "--csv", str(csv)])
             print(f"{name}.exit {code}")
             print(f"{name}.json {_sha(report.read_bytes())}")
-            print(f"{name}.csv {_sha(body.encode())}")
+            print(f"{name}.csv {_sha(_csv_body(csv))}")
         for mode, (generate, deform) in DEFORM_RUNS.items():
             x, y = Path(tmp, f"{mode}-x.json"), Path(tmp, f"{mode}-y.json")
             report, paths = Path(tmp, f"{mode}.json"), Path(tmp, f"{mode}-paths.json")
-            with contextlib.redirect_stdout(io.StringIO()):
-                dispatch(["generate", *generate, "--out", str(x), "--out-y", str(y)])
-                code = dispatch(["deform", mode, "--x", str(x), "--y", str(y), *deform,
-                                 "--report", str(report), "--paths", str(paths)])
+            _quiet(["generate", *generate, "--out", str(x), "--out-y", str(y)])
+            code = _quiet(["deform", mode, "--x", str(x), "--y", str(y), *deform,
+                           "--report", str(report), "--paths", str(paths)])
             print(f"deform-{mode}.exit {code}")
             print(f"deform-{mode}.json {_sha(report.read_bytes())}")
             print(f"deform-{mode}.paths {_sha(paths.read_bytes())}")
+        for name, (part, matrix, grid, eps, bounds) in SCAN_RUNS.items():
+            part.make_inputs(part.base_seed, Path(tmp))
+            field = Path(tmp, f"{name}.csv")
+            code = _quiet(["scan", "--input", str(Path(tmp, matrix)), "--eps", str(eps),
+                           "--grid", grid, "--bounds", bounds, "--out", str(field)])
+            print(f"{name}.exit {code}")
+            print(f"{name}.csv {_sha(_csv_body(field))}")
+            print(f"{name}.triples {_sha(Path(tmp, f'{name}.triples.json').read_bytes())}")
+        ginibre = str(Path(tmp, "ginibre.json"))
+        grids = [Path(tmp, f"grid{i}.json") for i in range(workloads.REFINES + 1)]
+        code = _quiet(["grid", "generate", "--grid", "quad:2",
+                       "--bounds", workloads.GINIBRE_BOUNDS, "--out", str(grids[0])])
+        print(f"grid-generate.exit {code}")
+        print(f"grid-generate.json {_sha(grids[0].read_bytes())}")
+        for i in range(workloads.REFINES):
+            code = _quiet(["grid", "refine", "--grid-file", str(grids[i]), "--input", ginibre,
+                           "--threshold", "0.2", "--max-depth", "6", "--out", str(grids[i + 1])])
+            print(f"grid-refine-{i + 1}.exit {code}")
+            print(f"grid-refine-{i + 1}.json {_sha(grids[i + 1].read_bytes())}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .pseudospectra import (
     quadtree_grid,
     refine_grid,
     scan_triples,
-    sigma_min_field,
 )
 from .words import WordFunction, eval_word_function, variety_membership
 
@@ -136,8 +135,7 @@ def _cmd_grid(args) -> int:
         return EXIT_OK
     grid = io.load_grid_json(args.grid_file)
     a = _as_single_matrix(io.load_matrices(args.input))
-    field = sigma_min_field(a, grid)
-    refined = refine_grid(grid, field, args.threshold, args.max_depth)
+    refined = refine_grid(grid, a, args.threshold, args.max_depth)
     io.write_grid_json(args.out, refined)
     print(f"{grid.size} -> {refined.size} nodes -> {args.out}")
     return EXIT_OK

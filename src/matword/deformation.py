@@ -206,6 +206,7 @@ class DeformationResult:
     delta_in: float
     endpoint_residual: float
     max_commutation: float
+    max_normality: float
     max_poly_residual: float | None
     compressibility: float  # ||W - What|| for the curved generator
 
@@ -308,6 +309,9 @@ def _assemble_result(
         for e in rep.entries
         if e.label.startswith("commutation")
     ]
+    normality_vals = [
+        e.max_residual for rep in reports for e in rep.entries if e.label == "normality"
+    ]
     poly_vals = [
         e.max_residual for rep in reports for e in rep.entries if e.label == "polynomial"
     ]
@@ -318,6 +322,7 @@ def _assemble_result(
         delta_in=delta,
         endpoint_residual=endpoint,
         max_commutation=max(comm_vals, default=0.0),
+        max_normality=max(normality_vals, default=0.0),
         max_poly_residual=max(poly_vals) if poly_vals else None,
         compressibility=compressibility,
     )
@@ -450,6 +455,7 @@ class TrialRecord:
     achieved_eps: float
     endpoint_residual: float
     max_commutation: float
+    normality_residual: float
     max_poly_residual: float | None
     relation_residual: float
     relation_bound: float
@@ -464,6 +470,7 @@ class TrialRecord:
             "achieved_eps": _num(self.achieved_eps),
             "endpoint_residual": _num(self.endpoint_residual),
             "max_commutation": _num(self.max_commutation),
+            "normality_residual": _num(self.normality_residual),
             "max_poly_residual": _num(self.max_poly_residual),
             "relation_residual": _num(self.relation_residual),
             "relation_bound": _num(self.relation_bound),
@@ -522,13 +529,14 @@ class ConnectivityReport:
     def csv_rows(self) -> list[list]:
         head = [
             "trial", "seed", "achieved_eps", "endpoint_residual", "max_commutation",
-            "max_poly_residual", "relation_residual", "cross_commutator", "passed",
+            "normality_residual", "max_poly_residual", "relation_residual", "cross_commutator",
+            "passed",
         ]
         rows = [head]
         for i, r in enumerate(self.records):
             rows.append([
                 i, r.seed, repr(r.achieved_eps), repr(r.endpoint_residual),
-                repr(r.max_commutation),
+                repr(r.max_commutation), repr(r.normality_residual),
                 "" if r.max_poly_residual is None else repr(r.max_poly_residual),
                 repr(r.relation_residual), repr(r.cross_commutator), int(r.passed),
             ])
@@ -579,7 +587,7 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
             res = connect(lx, ly)
         except (DeformationError, ValueError):  # recorded, not raised
             records.append(TrialRecord(
-                sub.seed, math.inf, math.inf, math.inf, None, math.inf, 0.0,
+                sub.seed, math.inf, math.inf, math.inf, math.inf, None, math.inf, 0.0,
                 cross, mismatch, None, False,
             ))
             continue
@@ -598,7 +606,7 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
         )
         records.append(TrialRecord(
             sub.seed, res.achieved_eps, res.endpoint_residual, res.max_commutation,
-            res.max_poly_residual, relation, relation_bound, cross, mismatch,
+            res.max_normality, res.max_poly_residual, relation, relation_bound, cross, mismatch,
             recovery, ok,
         ))
     return ConnectivityReport(mode, spec, eps_pass, tuple(records))

@@ -28,13 +28,23 @@ class FileFormatError(ValueError):
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in values.ravel()]
+    v = values.ravel()
+    return np.stack([v.real, v.imag], -1).tolist()
 
 
 def _from_pairs(pairs, count: int, what: str) -> np.ndarray:
     if len(pairs) != count:
         raise FileFormatError(f"{what}: expected {count} entries, found {len(pairs)}")
     out = np.empty(count, dtype=complex)
+    try:
+        arr = np.array(pairs, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.shape == (count, 2) and np.isfinite(arr).all():
+        out.real = arr[:, 0]
+        out.imag = arr[:, 1]
+        return out
+    # the per-entry pass names the first malformed entry
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise FileFormatError(f"{what}: entry {i} is not an [re, im] pair")

@@ -114,20 +114,23 @@ def chebyshev_grid(bounds: Bounds, p: int, q: int) -> Grid2D:
     return Grid2D(bounds, frozen(nodes), "chebyshev", shape=(q, p))
 
 
-def _round_key(x: float, y: float) -> tuple[float, float]:
-    return (round(x, 10), round(y, 10))
-
-
 def _quadtree_nodes(cells: tuple[QuadCell, ...], order: int) -> np.ndarray:
-    seen: dict[tuple[float, float], complex] = {}
-    for c in cells:
-        xs = chebyshev_points(c.x0, c.x1, order)
-        ys = chebyshev_points(c.y0, c.y1, order)
-        for y in ys:
-            for x in xs:
-                seen.setdefault(_round_key(x, y), x + 1j * y)
-    pts = np.array(sorted(seen.values(), key=lambda z: (z.imag, z.real)), dtype=complex)
-    return pts
+    """Union of the cells' Chebyshev stencils, ordered by (imag, real).
+
+    Nodes whose coordinates agree to 10 decimals are one node, kept at the
+    first-seen value in cell order, then y-major within a cell.
+    """
+    box = np.array([(c.x0, c.x1, c.y0, c.y1) for c in cells])
+    xs = chebyshev_points(box[:, 0:1], box[:, 1:2], order)
+    ys = chebyshev_points(box[:, 2:3], box[:, 3:4], order)
+    pts = (xs[:, None, :] + 1j * ys[:, :, None]).ravel()
+    # round() on a float64 scalar is np.round, not Python's float round;
+    # np.unique compares with ==, so keys -0.0 and 0.0 name one node
+    _, kx = np.unique(np.round(pts.real, 10), return_inverse=True)
+    _, ky = np.unique(np.round(pts.imag, 10), return_inverse=True)
+    _, first = np.unique(kx * (ky.max() + 1) + ky, return_index=True)
+    pts = pts[first]
+    return pts[np.lexsort((pts.real, pts.imag))]
 
 
 def quadtree_grid(bounds: Bounds, depth: int = 0, cell_order: int = 3) -> Grid2D:
@@ -143,35 +146,70 @@ def quadtree_grid(bounds: Bounds, depth: int = 0, cell_order: int = 3) -> Grid2D
                   cells=cells, cell_order=cell_order)
 
 
-def _cell_min(field: ScalarField2D, cell: QuadCell) -> float:
-    z = field.grid.nodes
-    pad = 1e-9 * max(cell.x1 - cell.x0, cell.y1 - cell.y0)
-    inside = (
-        (z.real >= cell.x0 - pad)
-        & (z.real <= cell.x1 + pad)
-        & (z.imag >= cell.y0 - pad)
-        & (z.imag <= cell.y1 + pad)
-    )
-    if not inside.any():
-        return np.inf
-    return float(field.values[inside].min())
+def _sigma_min(a: np.ndarray, eye: np.ndarray, z) -> float:
+    return np.linalg.svd(a - z * eye, compute_uv=False)[-1]
 
 
-def refine_grid(grid: Grid2D, field: ScalarField2D, threshold: float, max_depth: int) -> Grid2D:
-    """Subdivide quadtree cells whose minimum field value is <= threshold.
+def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D:
+    """Subdivide quadtree cells that hold a node with field value <= threshold.
 
-    Field values must live on ``grid``.  Cells already at ``max_depth`` are
-    kept; when nothing qualifies the grid is returned unchanged.
+    ``field`` is a ScalarField2D on ``grid`` or a square matrix A, whose
+    field sigma_min(A - z) is evaluated only where a cell's decision needs
+    it.  A cell's nodes are those in its closed rectangle, hanging nodes of
+    finer neighbours included, visited nearest-centre first; the first node
+    at or below the threshold splits the cell.  For a matrix, sigma_min is
+    1-Lipschitz in z (Weyl), so a node z needs no SVD when an evaluated node
+    w of the cell has sigma(w) - |z - w| above the threshold by more than
+    the SVD's rounding error: the decisions, and so the grid, are those of
+    the full field.  Cells already at ``max_depth`` are kept; when nothing
+    qualifies the grid is returned unchanged.
     """
     if grid.kind != "quadtree" or grid.cells is None:
         raise GridError("refinement needs a quadtree grid")
-    if field.grid is not grid and field.grid.size != grid.size:
-        raise GridError("field does not match the grid")
+    if isinstance(field, ScalarField2D):
+        if field.grid is not grid and field.grid.size != grid.size:
+            raise GridError("field does not match the grid")
+        z = field.grid.nodes
+        value = field.values.__getitem__
+        margin = None  # a tabulated field need not be Lipschitz
+    else:
+        a = as_square(field)
+        eye = np.eye(a.shape[0])
+        z = grid.nodes
+        values = np.full(grid.size, np.nan)
+        # covers the rounding error of two SVDs, p(n) u ||A - z||, at desk scale
+        margin = 1e-12 * (np.linalg.norm(a) + np.abs(z).max() + 1.0)
+
+        def value(i):
+            if np.isnan(values[i]):
+                values[i] = _sigma_min(a, eye, z[i])
+            return values[i]
+
+    def splits(c: QuadCell) -> bool:
+        pad = 1e-9 * max(c.x1 - c.x0, c.y1 - c.y0)
+        (idx,) = np.nonzero(
+            (z.real >= c.x0 - pad)
+            & (z.real <= c.x1 + pad)
+            & (z.imag >= c.y0 - pad)
+            & (z.imag <= c.y1 + pad)
+        )
+        zc = z[idx]
+        centre = complex(0.5 * (c.x0 + c.x1), 0.5 * (c.y0 + c.y1))
+        certified = np.zeros(len(idx), dtype=bool)
+        for k in np.argsort(np.abs(zc - centre), kind="stable"):
+            if certified[k]:
+                continue
+            v = value(idx[k])
+            if v <= threshold:
+                return True
+            if margin is not None:
+                certified |= v - np.abs(zc - zc[k]) > threshold + margin
+        return False
 
     new_cells: list[QuadCell] = []
     changed = False
     for c in grid.cells:
-        if c.depth < max_depth and _cell_min(field, c) <= threshold:
+        if c.depth < max_depth and splits(c):
             new_cells.extend(c.children())
             changed = True
         else:
@@ -189,7 +227,7 @@ def sigma_min_field(a, grid: Grid2D) -> ScalarField2D:
     eye = np.eye(n)
     values = np.empty(grid.size)
     for i, lam in enumerate(grid.nodes):
-        values[i] = np.linalg.svd(a - lam * eye, compute_uv=False)[-1]
+        values[i] = _sigma_min(a, eye, lam)
     return ScalarField2D(grid, values)
 
 

@@ -304,6 +304,7 @@ def gated_pass(r, eps_pass, size):
     return (
         r.endpoint_residual <= 1e-8 * size
         and r.max_commutation <= 1e-7 * size
+        and r.normality_residual <= 1e-7 * size
         and r.achieved_eps <= eps_pass
         and r.relation_residual <= r.relation_bound
         and all(v <= eps_pass for v in optional if v is not None)
@@ -334,7 +335,7 @@ class TestTrialRecords:
         rep = verify_ulpac(InstanceSpec("cube", 2, 8, 0.4, 3, (Z2M1,), 1e-3), 1)
         (r,) = rep.records
         assert r.passed is False
-        assert r.achieved_eps == r.relation_residual == np.inf
+        assert r.achieved_eps == r.relation_residual == r.normality_residual == np.inf
         assert r.relation_bound == 0.0
         assert r.dilation_mismatch is None and r.recovery_residual is None
 
@@ -347,21 +348,29 @@ class TestTrialRecords:
         monkeypatch.setattr(deformation, "connect_commuting", refuse)
         (r,) = verify_aulpac(spec, 1, eps_pass=0.2).records
         assert r.passed is False
-        assert r.achieved_eps == r.relation_residual == np.inf
+        assert r.achieved_eps == r.relation_residual == r.normality_residual == np.inf
         assert r.relation_bound == 0.0
         assert r.dilation_mismatch == ok.dilation_mismatch > 0.0
         assert r.recovery_residual is None
 
 
 def test_normality_is_gated(monkeypatch):
-    # a bound no path can meet: every trial must fail on the normality entry alone
-    monkeypatch.setattr(deformation, "NormalityConstraint", lambda bound: NormalityConstraint(-1.0))
-    runs = [
-        verify_ulpac(InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3), 3, eps_pass=0.2),
-        verify_aulpac(InstanceSpec("cube", 2, 8, 0.02, 81), 3, eps_pass=0.2),
+    # a bound no path can meet: every trial must fail on the normality entry
+    # alone, and its record must carry the residual that broke the bound
+    bound = -1.0
+    specs = [
+        (verify_ulpac, InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3)),
+        (verify_aulpac, InstanceSpec("cube", 2, 8, 0.02, 81)),
     ]
-    for rep in runs:
+    unpatched = [verify(spec, 3, eps_pass=0.2) for verify, spec in specs]
+    monkeypatch.setattr(deformation, "NormalityConstraint",
+                        lambda _: NormalityConstraint(bound))
+    for (verify, spec), ok in zip(specs, unpatched):
+        rep = verify(spec, 3, eps_pass=0.2)
         assert len(rep.records) == 3
-        for r in rep.records:
+        for r, r_ok in zip(rep.records, ok.records):
+            assert r_ok.passed is True
             assert r.passed is False
             assert np.isfinite(r.achieved_eps)  # connected, not refused
+            assert np.isfinite(r.normality_residual) and r.normality_residual > bound
+            assert r.normality_residual == r_ok.normality_residual

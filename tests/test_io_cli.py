@@ -85,6 +85,55 @@ class TestMatrixContainer:
             io.load_matrices(path)
 
 
+NAN_ENTRIES = json.loads("[[0, 0], [1, NaN], [1, 1]]")
+HUGE_ENTRIES = json.loads("[[0, 0], [1, 1e400], [1, 1]]")
+
+
+class TestEntryPairs:
+    """io._from_pairs: the array fast path and the messages of the per-entry pass."""
+
+    @pytest.mark.parametrize(
+        "entries,exc,message",
+        [
+            ([[0, 0], [1, 1]], io.FileFormatError, "m: expected 3 entries, found 2"),
+            ([[0, 0], 5, [1, 1]], io.FileFormatError, "m: entry 1 is not an [re, im] pair"),
+            ([[0, 0], [1], [1, 1]], io.FileFormatError, "m: entry 1 is not an [re, im] pair"),
+            ([[0, 0], [1, 2, 3], [1, 1]], io.FileFormatError,
+             "m: entry 1 is not an [re, im] pair"),
+            ([[[0, 0]], [[1, 1]], [[2, 2]]], io.FileFormatError,
+             "m: entry 0 is not an [re, im] pair"),
+            ([[[0], [0]], [[1], [1]], [[2], [2]]], TypeError,
+             "float() argument must be a string or a real number, not 'list'"),
+            ([[0, 0], ["abc", 1], [1, 1]], ValueError, "could not convert string to float: 'abc'"),
+            (NAN_ENTRIES, io.FileFormatError, "m: entry 1 is not finite"),
+            (HUGE_ENTRIES, io.FileFormatError, "m: entry 1 is not finite"),
+        ],
+    )
+    def test_malformed_entries(self, entries, exc, message):
+        with pytest.raises(exc) as info:
+            io._from_pairs(entries, 3, "m")
+        assert type(info.value) is exc
+        assert str(info.value) == message
+
+    def test_numeric_strings_parse_as_before(self):
+        got = io._from_pairs([["1.5", 2], [0, "-0.25"]], 2, "m")
+        assert np.array_equal(got, [1.5 + 2j, -0.25j])
+
+    def test_signed_zeros_and_subnormals_round_trip_bit_exactly(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                   2.2250738585072014e-308, 1.7976931348623157e308, -1.0, 0.1]
+        rng = np.random.default_rng(9)
+        re = rng.permutation(special + special[:6])
+        im = rng.permutation(special + special[:6])
+        a = np.empty(16, dtype=complex)
+        a.real, a.imag = re, im
+        a = a.reshape(4, 4)
+        path = tmp_path / "a.json"
+        io.save_matrices(path, a)
+        back = io.load_matrices(path)
+        assert np.array_equal(back.view(np.int64), a.view(np.int64))
+
+
 class TestPolyFormats:
     def test_poly_round_trip(self, tmp_path):
         p = PolyC((-1.0 + 0j, 0.0 + 0j, 1.0 + 0j), monic=True)

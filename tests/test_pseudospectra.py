@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from matword import pseudospectra
 from matword.linalg import operator_norm
 from matword.pseudospectra import (
     GridError,
+    QuadCell,
     ScalarField2D,
     chebyshev_grid,
     chebyshev_points,
@@ -77,6 +79,138 @@ class TestQuadtreeRefinement:
 
 def sigma_like(grid, value):
     return ScalarField2D(grid, np.full(grid.size, float(value)))
+
+
+def reference_quadtree_nodes(cells, order):
+    """The per-node loop _quadtree_nodes replaced: round() on each float64
+    coordinate, first-seen value per key, sorted by (imag, real)."""
+    seen = {}
+    for c in cells:
+        xs = chebyshev_points(c.x0, c.x1, order)
+        ys = chebyshev_points(c.y0, c.y1, order)
+        for y in ys:
+            for x in xs:
+                seen.setdefault((round(x, 10), round(y, 10)), x + 1j * y)
+    return np.array(sorted(seen.values(), key=lambda z: (z.imag, z.real)), dtype=complex)
+
+
+def random_tree(rng, bounds, max_levels):
+    """Cells of a quadtree where each leaf splits with probability 1/2 per level."""
+    cells = [QuadCell(*bounds, 0)]
+    for _ in range(max_levels):
+        cells = [ch for c in cells for ch in (c.children() if rng.random() < 0.5 else (c,))]
+    return tuple(cells)
+
+
+def random_bounds(rng):
+    cx, cy = rng.uniform(-2, 2, 2)
+    w = rng.uniform(0.1, 2, 4)
+    return (cx - w[0], cx + w[1], cy - w[2], cy + w[3])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestQuadtreeNodes:
+    def test_matches_reference_on_random_trees(self):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            cells = random_tree(rng, random_bounds(rng), int(rng.integers(0, 5)))
+            order = int(rng.integers(2, 6))
+            got = pseudospectra._quadtree_nodes(cells, order)
+            assert same_bits(got, reference_quadtree_nodes(cells, order))
+
+    def test_near_tie_keys_match_reference(self):
+        # 0.12345678905 sits just above a decimal tie: round() on a float64
+        # scalar rounds it down, Python's float round() rounds it up, onto
+        # the key of 0.1234567891
+        cells = (QuadCell(0.12345678905, 1.0, 0.0, 1.0, 0),
+                 QuadCell(0.1234567891, 1.0, 0.0, 1.0, 0))
+        got = pseudospectra._quadtree_nodes(cells, 3)
+        assert same_bits(got, reference_quadtree_nodes(cells, 3))
+        assert np.sum(got.real < 0.2) == 6
+
+    def test_signed_zero_keys_name_one_node(self):
+        # the middle stencil point of [-1, 1] lands a rounding error off 0,
+        # below it on [-1, 1] and exactly on 0 as a corner of [0, 1]
+        cells = (QuadCell(-1.0, 1.0, -1.0, 1.0, 0), QuadCell(0.0, 1.0, 0.0, 1.0, 0))
+        got = pseudospectra._quadtree_nodes(cells, 3)
+        assert same_bits(got, reference_quadtree_nodes(cells, 3))
+
+
+def random_matrix(rng, kind, n):
+    if kind == "ginibre":
+        return ginibre(rng, n)
+    if kind == "normal":
+        u = haar_unitary(rng, n)
+        return (u * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))) @ u.conj().T
+    # Jordan-like: random diagonal plus a scaled superdiagonal
+    return np.diag(rng.uniform(-1, 1, n)) + rng.uniform(0.1, 1) * np.eye(n, k=1)
+
+
+class TestLazyRefinement:
+    """refine_grid given the matrix against refine_grid given the full field."""
+
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "jordan"])
+    def test_matches_full_field(self, kind):
+        rng = np.random.default_rng({"ginibre": 1, "normal": 2, "jordan": 3}[kind])
+        splits = 0
+        for case in range(40):
+            a = random_matrix(rng, kind, int(rng.integers(1, 25)))
+            g = quadtree_grid((-1.5, 1.5, -1.5, 1.5), int(rng.integers(0, 3)),
+                              int(rng.integers(2, 5)))
+            max_depth = int(rng.integers(1, 5))
+            for _ in range(2):
+                field = sigma_min_field(a, g)
+                if case % 2:
+                    threshold = float(rng.choice(field.values))  # a node sits on it
+                else:
+                    threshold = float(rng.uniform(0.0, 0.6))
+                want = refine_grid(g, field, threshold, max_depth)
+                got = refine_grid(g, a, threshold, max_depth)
+                assert got.cells == want.cells
+                assert same_bits(got.nodes, want.nodes)
+                splits += want is not g
+                g = want
+        assert splits >= 20  # the cases exercise splitting, not only no-ops
+
+    def test_threshold_at_a_hanging_node_value(self):
+        # one cell split, its neighbours see the finer cell's hanging nodes
+        a = ginibre(np.random.default_rng(5), 8)
+        g = quadtree_grid((-1.5, 1.5, -1.5, 1.5), 1)
+        g = refine_grid(g, ScalarField2D(g, np.where(np.arange(g.size) == 0, 0.0, 9.0)), 1.0, 2)
+        field = sigma_min_field(a, g)
+        for threshold in field.values:
+            want = refine_grid(g, field, float(threshold), 3)
+            got = refine_grid(g, a, float(threshold), 3)
+            assert got.cells == want.cells
+
+    def test_matrix_form_skips_most_evaluations(self, monkeypatch):
+        a = ginibre(np.random.default_rng(880_000), 50)
+        g = quadtree_grid((-1.5, 1.5, -1.5, 1.5), 2)
+        for _ in range(2):
+            g = refine_grid(g, a, 0.2, 6)
+        assert g.size >= 900
+        calls = []
+        sigma_min = pseudospectra._sigma_min
+
+        def counted(*args):
+            calls.append(args[-1])
+            return sigma_min(*args)
+
+        monkeypatch.setattr(pseudospectra, "_sigma_min", counted)
+        got = refine_grid(g, a, 0.2, 6)
+        assert len(calls) <= g.size // 2
+        assert len(set(calls)) == len(calls)  # once per node
+        monkeypatch.setattr(pseudospectra, "_sigma_min", sigma_min)
+        want = refine_grid(g, sigma_min_field(a, g), 0.2, 6)
+        assert got.cells == want.cells
+
+    def test_matrix_needs_a_quadtree(self):
+        g = chebyshev_grid((-1, 1, -1, 1), 3, 3)
+        with pytest.raises(GridError):
+            refine_grid(g, np.eye(2), 0.1, 2)
 
 
 class TestSigmaMinField:
