@@ -26,6 +26,7 @@ from .linalg import (
     max_commutator,
     operator_norm,
     polar_decomposition,
+    unitarity_defect,
 )
 
 
@@ -69,15 +70,12 @@ class ProjectionFamily:
         return len(self.projections)
 
 
-def refine_projections(
-    p: ProjectionFamily, q: ProjectionFamily, tol: float | None = None
-) -> ProjectionFamily:
-    """Common refinement: nonzero products P_j Q_k of two commuting families.
+def refine_projections(p: ProjectionFamily, q: ProjectionFamily) -> ProjectionFamily:
+    """Common refinement of two families that commute within default_tol(n).
 
-    The output spans both inputs and has at most |P| * |Q| members.
+    Its members, the nonzero products P_j Q_k, span both inputs; |P| * |Q| at most.
     """
-    n = p.projections[0].shape[0]
-    tol = default_tol(n) if tol is None else tol
+    tol = default_tol(p.projections[0].shape[0])
     for pj in p.projections:
         for qk in q.projections:
             c = operator_norm(commutator(pj, qk))
@@ -109,29 +107,24 @@ class CommutingUnitaryResult:
 
 
 def nearby_commuting_unitary(
-    w,
-    d,
-    cluster_tol: float = 1e-8,
-    normal_tol: float | None = None,
-    min_gap: float = 1e-8,
-    unitary_tol: float | None = None,
+    w, d, cluster_tol: float = 1e-8, min_gap: float = 1e-8
 ) -> CommutingUnitaryResult:
     """Unitary Z with [Z, D] = 0 and ||1 - W Z|| <= (3r(r-1)/s) ||W D W* - D||.
 
-    Built by compressing W to the spectral blocks of D and replacing each
-    block by the unitary factor of its polar decomposition.
+    W must be unitary and D normal, both within default_tol(n).  Built by
+    compressing W to the spectral blocks of D and replacing each block by
+    the unitary factor of its polar decomposition.
     """
     w = as_square(w)
     d = as_square(d)
     n = w.shape[0]
     if w.shape != d.shape:
         raise LinalgError("dimension mismatch")
-    unitary_tol = default_tol(n) if unitary_tol is None else unitary_tol
-    defect = operator_norm(w @ w.conj().T - np.eye(n))
-    if defect > unitary_tol:
+    defect = unitarity_defect(w)
+    if defect > default_tol(n):
         raise LinalgError(f"W is not unitary: defect {defect:.3e}")
 
-    values, bases = cluster_eigenbasis(d, cluster_tol, normal_tol)
+    values, bases = cluster_eigenbasis(d, cluster_tol)
     r = len(values)
     if r == 1:
         # Everything commutes with an (almost) scalar matrix.
@@ -215,24 +208,21 @@ def matching_cost_matrix(
 
 
 def joint_isospectral_approximant(
-    x: NormalTuple,
-    y: NormalTuple,
-    delta: float,
-    tol: float | None = None,
-    max_cost: float | None = None,
+    x: NormalTuple, y: NormalTuple, delta: float, max_cost: float | None = None
 ) -> IsospectralApproximant:
     """Unitary conjugation carrying X's joint eigenbasis onto Y's.
 
-    Joint eigenvalue vectors are matched by minimal-cost assignment where a
-    pair costs the maximum coordinatewise modulus difference, plus an
-    eigenvector-overlap tie-break at the scale of the pair distance.
-    Spectra are preserved exactly (conjugation); distances to source and
-    target are recorded, and so is Y's joint eigenbasis.
+    Both tuples must commute within default_tol(n).  Joint eigenvalue
+    vectors are matched by minimal-cost assignment where a pair costs the
+    maximum coordinatewise modulus difference, plus an eigenvector-overlap
+    tie-break at the scale of the pair distance.  Spectra are preserved
+    exactly (conjugation); distances to source and target are recorded, and
+    so is Y's joint eigenbasis.
     """
     if x.arity != y.arity or x.dim != y.dim:
         raise ApproximantError("tuples must share arity and dimension")
     n = x.dim
-    tol = default_tol(n) if tol is None else tol
+    tol = default_tol(n)
     for t, name in ((x, "source"), (y, "target")):
         if t.commutator_bound > tol:
             raise ApproximantError(
@@ -277,18 +267,18 @@ def _lattice_candidates(step: float, count: int):
         yield -k * step
 
 
-def nearby_generator(x: NormalTuple, j: int, delta: float, tol: float | None = None) -> np.ndarray:
+def nearby_generator(x: NormalTuple, j: int, delta: float) -> np.ndarray:
     """Normal matrix with n distinct eigenvalues, within delta of X_j.
 
-    It commutes with every member of the tuple, so all of them are functions
-    of it.  Eigenvalues are placed deterministically on a lattice of pitch
+    The tuple must commute within default_tol(n).  The result commutes with
+    every member of the tuple, so all of them are functions of it.
+    Eigenvalues are placed deterministically on a lattice of pitch
     0.9 * delta / (2n) inside the delta-disk around each eigenvalue of X_j.
     """
     n = x.dim
-    tol = default_tol(n) if tol is None else tol
     if not 0 <= j < x.arity:
         raise ApproximantError(f"index {j} out of range for arity {x.arity}")
-    if x.commutator_bound > tol:
+    if x.commutator_bound > default_tol(n):
         raise ApproximantError("tuple is not commuting within tolerance")
     step = 0.9 * delta / (2 * n)
     if step <= 1e-13 * max(1.0, operator_norm(x[j])):

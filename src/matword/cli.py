@@ -88,6 +88,12 @@ def _load_polys(args, m: int):
     return tuple(polys)
 
 
+def _need(value, message: str):
+    if value is None:
+        raise CliError(message)
+    return value
+
+
 def _stamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -133,8 +139,8 @@ def _cmd_grid(args) -> int:
         io.write_grid_json(args.out, grid)
         print(f"{grid.size} nodes -> {args.out}")
         return EXIT_OK
-    grid = io.load_grid_json(args.grid_file)
-    a = _as_single_matrix(io.load_matrices(args.input))
+    grid = io.load_grid_json(_need(args.grid_file, "grid refine needs --grid-file"))
+    a = _as_single_matrix(io.load_matrices(_need(args.input, "grid refine needs --input")))
     refined = refine_grid(grid, a, args.threshold, args.max_depth)
     io.write_grid_json(args.out, refined)
     print(f"{grid.size} -> {refined.size} nodes -> {args.out}")
@@ -148,13 +154,12 @@ def _cmd_deform(args) -> int:
     if args.mode == "gujc":
         result = connect_commuting(x, y, eps=args.eps)
     elif args.mode == "algebraic":
-        if polys is None:
-            raise CliError("algebraic deformation needs --polys")
+        polys = _need(polys, "algebraic deformation needs --polys")
         result = connect_algebraic(x, y, polys, eps=args.eps)
     else:
-        if polys is None:
-            raise CliError("soft deformation needs --polys")
+        polys = _need(polys, "soft deformation needs --polys")
         delta = args.delta if args.delta is not None else args.eps
+        delta = _need(delta, "soft deformation needs --delta or --eps")
         result = connect_soft_algebraic(x, y, polys, delta, eps=args.eps)
     if args.report:
         io.write_json_report(args.report, result.to_json_dict())
@@ -206,7 +211,7 @@ def _cmd_generate(args) -> int:
 def _cmd_words(args) -> int:
     x = io.load_tuple(args.input)
     if args.action == "membership":
-        system = io.load_ncpoly(args.system)
+        system = io.load_ncpoly(_need(args.system, "words membership needs --system"))
         if args.eps is not None:
             from dataclasses import replace
 

@@ -246,13 +246,13 @@ def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:
 
 
 def _curved_connect(
-    x: NormalTuple, y: NormalTuple, delta: float, n_seg: int, degeneracy_tol: float = 1e-9
+    x: NormalTuple, y: NormalTuple, delta: float, n_seg: int
 ) -> tuple[list[MatrixPath], float]:
     """Curved paths conjugating X into Y's joint-diagonal algebra.
 
     The approximant's unitary W is compressed onto the nearest unitary What
     commuting with a generator of Y's joint-cluster algebra (distinct label
-    per cluster of joint eigenvalues, merged at ``degeneracy_tol``); blocks
+    per cluster of joint eigenvalues, merged at 1e-9); blocks
     on genuinely degenerate joint eigenspaces are kept whole, so only
     cross-cluster leakage counts against compressibility.  The paths then
     conjugate by the principal-log flow of What* W.
@@ -262,7 +262,7 @@ def _curved_connect(
     """
     psi = joint_isospectral_approximant(x, y, delta)
     uy, dy = psi.target_basis
-    labels = threshold_clusters(np.stack(dy, 1), degeneracy_tol).astype(float)
+    labels = threshold_clusters(np.stack(dy, 1), 1e-9).astype(float)
     d_gen = (uy * labels) @ uy.conj().T
     ncu = nearby_commuting_unitary(psi.w, d_gen, cluster_tol=0.25, min_gap=0.5)
     what = ncu.z.conj().T
@@ -336,55 +336,46 @@ def _check_endpoint_residuals(polys, x, y, bound: float, reason: str):
                 raise DeformationError(f"||p_{j}({name}_{j})|| = {r:.3e}{reason}")
 
 
-def _curved_then_flat(x, y, delta, eps, polys, n_samples: int) -> DeformationResult:
-    seg = (n_samples + 1) // 2
+def _curved_then_flat(x, y, delta, eps, polys) -> DeformationResult:
+    seg = (DEFAULT_SAMPLES + 1) // 2
     curved, deviation = _curved_connect(x, y, delta, seg)
     paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
     return _assemble_result(paths, x, y, eps, polys, delta, deviation)
 
 
 def connect_commuting(
-    x: NormalTuple,
-    y: NormalTuple,
-    eps: float | None = None,
-    n_samples: int = DEFAULT_SAMPLES,
+    x: NormalTuple, y: NormalTuple, eps: float | None = None
 ) -> DeformationResult:
     """Curved-then-flat homotopies between nearby commuting normal tuples.
 
     Each member follows the common conjugation onto the target's
-    joint-diagonal algebra, then a flat segment to the target.  Pairwise
-    commutation holds along the whole path; spectra are preserved on the
-    curved half.
+    joint-diagonal algebra, then a flat segment to the target, each half
+    sampled at (DEFAULT_SAMPLES + 1) // 2 points.  Pairwise commutation
+    holds along the whole path; spectra are preserved on the curved half.
     """
-    return _curved_then_flat(x, y, _pair_distance(x, y), eps, None, n_samples)
+    return _curved_then_flat(x, y, _pair_distance(x, y), eps, None)
 
 
 def connect_algebraic(
-    x: NormalTuple,
-    y: NormalTuple,
-    polys,
-    eps: float | None = None,
-    n_samples: int = DEFAULT_SAMPLES,
-    zero_tol: float | None = None,
+    x: NormalTuple, y: NormalTuple, polys, eps: float | None = None
 ) -> DeformationResult:
     """Connectivity under exact polynomial constraints p_j(Z_t) = 0.
 
-    Spectra of both endpoints must already sit in the zero sets; the pair
-    distance may not exceed a third of the minimal root gap, which forces
-    the matched spectra to coincide and keeps every residual at rounding
-    level along the path.
+    Spectra of both endpoints must already sit in the zero sets, with
+    endpoint residuals within default_tol(n); the pair distance may not
+    exceed a third of the minimal root gap, which forces the matched
+    spectra to coincide and keeps every residual at rounding level along
+    the path.  Paths are sampled as in connect_commuting.
     """
     polys = _normalize_polys(polys, x.arity)
-    n = x.dim
-    zero_tol = default_tol(n) if zero_tol is None else zero_tol
-    _check_endpoint_residuals(polys, x, y, zero_tol, "; spectrum is not in the zero set")
+    _check_endpoint_residuals(polys, x, y, default_tol(x.dim), "; spectrum is not in the zero set")
     gap = min_root_gap(polys)
     delta = _pair_distance(x, y)
     if delta > gap / 3.0:
         raise DeformationError(
             f"pair distance {delta:.3e} exceeds a third of the root gap {gap:.3e}"
         )
-    return _curved_then_flat(x, y, delta, eps, polys, n_samples)
+    return _curved_then_flat(x, y, delta, eps, polys)
 
 
 def _project_to_roots(
@@ -407,18 +398,13 @@ def _project_to_roots(
 
 
 def connect_soft_algebraic(
-    x: NormalTuple,
-    y: NormalTuple,
-    polys,
-    delta: float,
-    eps: float | None = None,
-    n_samples: int | None = None,
+    x: NormalTuple, y: NormalTuple, polys, delta: float, eps: float | None = None
 ) -> DeformationResult:
     """Connectivity under soft constraints ||p_j(Z_t)|| <= eps.
 
-    Three segments per member: a flat projection of the spectrum onto the
-    zero set, the curved algebraic connection, and a flat return to the
-    target.  Requires endpoint residuals at most delta, spectra within
+    Three segments per member, each sampled at (DEFAULT_SAMPLES + 2) // 3 + 1
+    points: a flat projection of the spectrum onto the zero set, the curved
+    algebraic connection, and a flat return to the target.  Requires endpoint residuals at most delta, spectra within
     delta/2 of the zero sets, and delta at most a sixth of the root gap.
     """
     polys = _normalize_polys(polys, x.arity)
@@ -434,7 +420,7 @@ def connect_soft_algebraic(
     xhat = NormalTuple.from_matrices(_project_to_roots(ux, dx, polys, delta))
     yhat = NormalTuple.from_matrices(_project_to_roots(uy, dy, polys, delta))
 
-    seg = ((n_samples or DEFAULT_SAMPLES) + 2) // 3 + 1
+    seg = (DEFAULT_SAMPLES + 2) // 3 + 1
     curved, deviation = _curved_connect(xhat, yhat, _pair_distance(xhat, yhat), seg)
 
     paths = []

@@ -192,17 +192,12 @@ def _grid_dict(g: Grid2D) -> dict:
     }
 
 
-def field_json_dict(field: ScalarField2D, mask: np.ndarray | None = None) -> dict:
-    doc = {"grid": _grid_dict(field.grid), "values": [float(v) for v in field.values]}
-    if mask is not None:
-        doc["mask"] = [int(b) for b in mask]
-    return doc
+def field_json_dict(field: ScalarField2D) -> dict:
+    return {"grid": _grid_dict(field.grid), "values": [float(v) for v in field.values]}
 
 
-def write_field_json(path, field: ScalarField2D, mask: np.ndarray | None = None):
-    Path(path).write_text(
-        json.dumps(field_json_dict(field, mask), sort_keys=True), encoding="utf-8"
-    )
+def write_field_json(path, field: ScalarField2D):
+    Path(path).write_text(json.dumps(field_json_dict(field), sort_keys=True), encoding="utf-8")
 
 
 def load_grid_json(path) -> Grid2D:

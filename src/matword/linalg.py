@@ -1,8 +1,8 @@
 """Dense complex matrix kernels and spectral utilities.
 
 Everything operates on plain numpy arrays holding square complex matrices.
-Exact algebraic relations only hold up to floating point slack, so every
-structural check takes an explicit tolerance; defaults scale as 1e-8 * n.
+Exact algebraic relations only hold up to floating point slack, so structural
+checks allow default_tol(n) = 1e-8 * n or a fixed constant.
 """
 
 from __future__ import annotations
@@ -78,13 +78,13 @@ def unitarity_defect(w) -> float:
     return operator_norm(w @ w.conj().T - np.eye(w.shape[0]))
 
 
-def adjoint_action(w, x, tol: float | None = None) -> np.ndarray:
-    """Conjugation W X W*; requires W unitary within ``tol``."""
+def adjoint_action(w, x) -> np.ndarray:
+    """Conjugation W X W*; requires W unitary within default_tol(n)."""
     w = as_square(w)
     x = as_square(x)
     if w.shape != x.shape:
         raise LinalgError(f"dimension mismatch: {w.shape} vs {x.shape}")
-    tol = default_tol(w.shape[0]) if tol is None else tol
+    tol = default_tol(w.shape[0])
     defect = unitarity_defect(w)
     if defect > tol:
         raise LinalgError(f"matrix is not unitary: defect {defect:.3e} > tol {tol:.3e}")
@@ -146,10 +146,8 @@ def normality_defect(a) -> float:
     return operator_norm(commutator(a, a.conj().T))
 
 
-def cluster_eigenbasis(
-    a, cluster_tol: float, normal_tol: float | None = None
-) -> tuple[list[complex], list[np.ndarray]]:
-    """Cluster the spectrum of a normal matrix and return orthonormal bases.
+def cluster_eigenbasis(a, cluster_tol: float) -> tuple[list[complex], list[np.ndarray]]:
+    """Clustered spectrum and orthonormal bases of a matrix normal within default_tol(n).
 
     Returns (representatives, bases) where bases[j] has orthonormal columns
     spanning the invariant subspace of cluster j.  Raises ClusteringError
@@ -157,11 +155,10 @@ def cluster_eigenbasis(
     or two representatives come closer than ``cluster_tol``.
     """
     a = as_square(a)
-    n = a.shape[0]
-    normal_tol = default_tol(n) if normal_tol is None else normal_tol
+    tol = default_tol(a.shape[0])
     defect = normality_defect(a)
-    if defect > normal_tol:
-        raise LinalgError(f"matrix is not normal: defect {defect:.3e} > tol {normal_tol:.3e}")
+    if defect > tol:
+        raise LinalgError(f"matrix is not normal: defect {defect:.3e} > tol {tol:.3e}")
 
     # Complex Schur of a normal matrix is diagonal with orthonormal vectors.
     t, q = scipy.linalg.schur(a, output="complex")
@@ -210,11 +207,9 @@ class SpectralDecomposition:
         return tuple(int(round(np.trace(p).real)) for p in self.projections)
 
 
-def spectral_decomposition(
-    a, cluster_tol: float, normal_tol: float | None = None
-) -> SpectralDecomposition:
-    """Spectral decomposition of a normal matrix with eigenvalue clustering."""
-    values, bases = cluster_eigenbasis(a, cluster_tol, normal_tol)
+def spectral_decomposition(a, cluster_tol: float) -> SpectralDecomposition:
+    """Clustered spectral decomposition of a matrix normal within default_tol(n)."""
+    values, bases = cluster_eigenbasis(a, cluster_tol)
     projections = tuple(frozen(b @ b.conj().T) for b in bases)
     return SpectralDecomposition(tuple(values), projections, cluster_tol)
 
@@ -292,17 +287,16 @@ def _is_diagonal(a: np.ndarray, tol: float) -> bool:
     return operator_norm(a - np.diag(np.diag(a))) <= tol
 
 
-def joint_diagonalize(
-    t, tol: float, cluster_tol: float | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def joint_diagonalize(t, tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Approximately diagonalize a tuple of almost-commuting normal matrices.
 
     Recursive block refinement: the hermitian part of the first matrix is
     diagonalized, eigenvalues are clustered, the next matrix is compressed
     to each cluster subspace, and so on through all real and imaginary
-    parts.  The unitary is exact up to rounding; all approximation shows up
-    in the off-diagonal residual, which must stay below an admissible bound
-    that shrinks with ``tol``.
+    parts.  Eigenvalues cluster at max(1e-8, sqrt(cb)) for the commutator
+    bound cb.  The unitary is exact up to rounding; all approximation shows
+    up in the off-diagonal residual, which must stay below an admissible
+    bound that shrinks with ``tol``.
 
     Returns (U, diagonals) with U unitary and diagonals[j] the diagonal of
     U* X_j U.
@@ -319,8 +313,7 @@ def joint_diagonalize(
     if all(_is_diagonal(m, diag_tol) for m in mats):
         return np.eye(n, dtype=complex), [np.diag(m).copy() for m in mats]
 
-    if cluster_tol is None:
-        cluster_tol = max(1e-8, float(np.sqrt(max(cb, 0.0))))
+    cluster_tol = max(1e-8, float(np.sqrt(max(cb, 0.0))))
 
     parts: list[np.ndarray] = []
     for m in mats:
@@ -348,24 +341,20 @@ def joint_diagonalize(
     return u, diags
 
 
-def principal_unitary_log(
-    z, tol: float | None = None, gap_tol: float = 1e-8
-) -> np.ndarray:
+def principal_unitary_log(z) -> np.ndarray:
     """Hermitian H with -1 <= H <= 1 and exp(i*pi*H) = Z.
 
-    Requires the spectrum of the unitary Z to stay away from -1.
+    Requires Z unitary within default_tol(n), its spectrum farther than 1e-8 from -1.
     """
     z = as_square(z)
-    n = z.shape[0]
-    tol = default_tol(n) if tol is None else tol
     defect = unitarity_defect(z)
-    if defect > tol:
+    if defect > default_tol(z.shape[0]):
         raise LinalgError(f"matrix is not unitary: defect {defect:.3e}")
 
     t, q = scipy.linalg.schur(z, output="complex")
     eigs = np.diag(t)
     phases = eigs / np.abs(eigs)
-    if np.min(np.abs(phases + 1.0)) <= gap_tol:
+    if np.min(np.abs(phases + 1.0)) <= 1e-8:
         raise LinalgError("unitary spectrum touches -1; principal log undefined")
     h = (q * (np.angle(phases) / np.pi)) @ q.conj().T
     return hermitian_part(h)

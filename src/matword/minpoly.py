@@ -117,21 +117,17 @@ def _monic_fit(nodes: np.ndarray, degree: int) -> PolyC:
     return PolyC(tuple(c) + (1.0 + 0.0j,), monic=True)
 
 
-def approx_min_poly(
-    a, delta: float, max_deg: int, seed: int = 0, n_ritz: int | None = None
-) -> tuple[PolyC, float]:
+def approx_min_poly(a, delta: float, max_deg: int, seed: int = 0) -> tuple[PolyC, float]:
     """Smallest-degree monic fit over Ritz values reaching ||p(A)|| <= delta.
 
-    Sweeps degrees 1..max_deg; when no degree reaches delta, the lowest
-    residual fit found is returned (with its residual above delta).
+    Fits min(n, max(2 * max_deg, 16)) Ritz values at degrees 1..max_deg;
+    when no degree reaches delta, the lowest residual fit found is returned.
     """
     a = as_square(a)
     n = a.shape[0]
     if max_deg < 1:
         raise LinalgError("max_deg must be >= 1")
-    if n_ritz is None:
-        n_ritz = min(n, max(2 * max_deg, 16))
-    nodes = ritz_values(a, n_ritz, seed)
+    nodes = ritz_values(a, min(n, max(2 * max_deg, 16)), seed)
 
     best: tuple[PolyC, float] | None = None
     for d in range(1, max_deg + 1):
@@ -238,5 +234,6 @@ def lemniscate_contours(field: ScalarField2D, level: float) -> list[np.ndarray]:
     return _stitch(segments)
 
 
-def is_closed(polyline: np.ndarray, tol: float = 1e-9) -> bool:
-    return len(polyline) > 2 and abs(polyline[0] - polyline[-1]) <= tol
+def is_closed(polyline: np.ndarray) -> bool:
+    """More than two vertices, the last within 1e-9 of the first."""
+    return len(polyline) > 2 and abs(polyline[0] - polyline[-1]) <= 1e-9

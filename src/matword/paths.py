@@ -78,14 +78,13 @@ def _timegrid(n_samples: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_samples)
 
 
-def curved_path(h, d, n_samples: int = DEFAULT_SAMPLES, herm_tol: float | None = None) -> MatrixPath:
-    """Conjugation path t -> exp(i*pi*t*H) D exp(-i*pi*t*H)."""
+def curved_path(h, d, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
+    """Conjugation path t -> exp(i*pi*t*H) D exp(-i*pi*t*H), H hermitian to default_tol(n)."""
     h = as_square(h)
     d = as_square(d)
     if h.shape != d.shape:
         raise PathError("generator and matrix dimensions disagree")
-    herm_tol = default_tol(h.shape[0]) if herm_tol is None else herm_tol
-    if operator_norm(h - h.conj().T) > herm_tol:
+    if operator_norm(h - h.conj().T) > default_tol(h.shape[0]):
         raise PathError("curved path generator must be hermitian")
     w, q = np.linalg.eigh(hermitian_part(h))
     times = _timegrid(n_samples)
@@ -108,16 +107,12 @@ def flat_path(x, y, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
 
 
 def flat_functional_path(
-    f: Callable[[np.ndarray], np.ndarray],
-    h2,
-    h3,
-    n_samples: int = DEFAULT_SAMPLES,
-    spectrum_tol: float = 1e-8,
+    f: Callable[[np.ndarray], np.ndarray], h2, h3, n_samples: int = DEFAULT_SAMPLES
 ) -> MatrixPath:
     """Spectral path t -> f(t*H3 + (1-t)*H2) for hermitian contractions.
 
     ``f`` receives the eigenvalue vector; spectra must stay inside [-1, 1]
-    up to ``spectrum_tol``.
+    up to 1e-8.
     """
     h2 = hermitian_part(as_square(h2))
     h3 = hermitian_part(as_square(h3))
@@ -127,7 +122,7 @@ def flat_functional_path(
     samples = np.empty((n_samples, *h2.shape), dtype=complex)
     for i, t in enumerate(times):
         w, q = np.linalg.eigh((1.0 - t) * h2 + t * h3)
-        if w.min() < -1.0 - spectrum_tol or w.max() > 1.0 + spectrum_tol:
+        if w.min() < -1.0 - 1e-8 or w.max() > 1.0 + 1e-8:
             raise PathError(
                 f"interpolant spectrum [{w.min():.3f}, {w.max():.3f}] leaves [-1, 1] at t={t:.3f}"
             )

@@ -153,29 +153,29 @@ def _sigma_min(a: np.ndarray, eye: np.ndarray, z) -> float:
 def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D:
     """Subdivide quadtree cells that hold a node with field value <= threshold.
 
-    ``field`` is a ScalarField2D on ``grid`` or a square matrix A, whose
-    field sigma_min(A - z) is evaluated only where a cell's decision needs
-    it.  A cell's nodes are those in its closed rectangle, hanging nodes of
-    finer neighbours included, visited nearest-centre first; the first node
-    at or below the threshold splits the cell.  For a matrix, sigma_min is
-    1-Lipschitz in z (Weyl), so a node z needs no SVD when an evaluated node
-    w of the cell has sigma(w) - |z - w| above the threshold by more than
-    the SVD's rounding error: the decisions, and so the grid, are those of
-    the full field.  Cells already at ``max_depth`` are kept; when nothing
-    qualifies the grid is returned unchanged.
+    ``field`` is a ScalarField2D on ``grid`` or on a grid with equal nodes
+    (else GridError), or a square matrix A, whose field sigma_min(A - z) is
+    evaluated only where a cell's decision needs it.  A cell's nodes are
+    those in its closed rectangle, hanging nodes of finer neighbours
+    included, visited nearest-centre first; the first node at or below the
+    threshold splits the cell.  For a matrix, sigma_min is 1-Lipschitz in z
+    (Weyl), so a node z needs no SVD when an evaluated node w of the cell
+    has sigma(w) - |z - w| above the threshold by more than the SVD's
+    rounding error: the decisions, and so the grid, are those of the full
+    field.  Cells already at ``max_depth`` are kept; when nothing qualifies
+    the grid is returned unchanged.
     """
     if grid.kind != "quadtree" or grid.cells is None:
         raise GridError("refinement needs a quadtree grid")
+    z = grid.nodes
     if isinstance(field, ScalarField2D):
-        if field.grid is not grid and field.grid.size != grid.size:
+        if field.grid is not grid and not np.array_equal(field.grid.nodes, z):
             raise GridError("field does not match the grid")
-        z = field.grid.nodes
         value = field.values.__getitem__
         margin = None  # a tabulated field need not be Lipschitz
     else:
         a = as_square(field)
         eye = np.eye(a.shape[0])
-        z = grid.nodes
         values = np.full(grid.size, np.nan)
         # covers the rounding error of two SVDs, p(n) u ||A - z||, at desk scale
         margin = 1e-12 * (np.linalg.norm(a) + np.abs(z).max() + 1.0)

@@ -41,7 +41,7 @@ def commuting_hermitian_tuple(rng: np.random.Generator, m: int, n: int) -> list[
     return out
 
 
-def ginibre(rng: np.random.Generator, n: int, scale: float | None = None) -> np.ndarray:
-    """Complex Gaussian matrix, normalized so the spectrum sits near the unit disk."""
-    scale = 1.0 / np.sqrt(n) if scale is None else scale
+def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Complex Gaussian matrix scaled by 1/sqrt(n), so the spectrum sits near the unit disk."""
+    scale = 1.0 / np.sqrt(n)
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)

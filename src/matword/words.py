@@ -120,9 +120,9 @@ def _eval_sums(sums, x, arity: int, what: str, coeffs) -> list[np.ndarray]:
     return out
 
 
-def eval_word_function(f: WordFunction, x, coeffs: Sequence | None = None) -> list[np.ndarray]:
-    """Evaluate each component on a tuple; adjoint slots get conjugate transposes."""
-    return _eval_sums(f.components, x, f.arity, "function", coeffs)
+def eval_word_function(f: WordFunction, x) -> list[np.ndarray]:
+    """Evaluate each component on a tuple, with the identity as the only coefficient."""
+    return _eval_sums(f.components, x, f.arity, "function", None)
 
 
 @dataclass(frozen=True)
@@ -169,20 +169,20 @@ def variety_membership(x, system: NCPolySystem, coeffs: Sequence | None = None):
 TupleMap = Callable[[Sequence[np.ndarray]], list[np.ndarray]]
 
 
-def controllability_ratio(f: WordFunction, phi: TupleMap, x, y, zero_tol: float = 1e-14) -> float:
+def controllability_ratio(f: WordFunction, phi: TupleMap, x, y) -> float:
     """Distortion ratio of ``f`` under the linear tuple map ``phi``.
 
     Returns d(phi(f(X)), phi(f(Y))) / d(f(phi(X)), f(phi(Y))) in the Clifford
-    metric.  A vanishing denominator is only accepted when the numerator
-    vanishes too (ratio 0); otherwise the ratio is undefined and raises.
+    metric.  A denominator at most 1e-14 is only accepted when the numerator
+    is at most 1e-12 (ratio 0); otherwise the ratio is undefined and raises.
     """
     xm = _as_matrix_list(x)
     ym = _as_matrix_list(y)
     num = clifford_distance([phi_m for phi_m in phi(eval_word_function(f, xm))],
                             [phi_m for phi_m in phi(eval_word_function(f, ym))])
     den = clifford_distance(eval_word_function(f, phi(xm)), eval_word_function(f, phi(ym)))
-    if den <= zero_tol:
-        if num <= max(zero_tol, 1e-12):
+    if den <= 1e-14:
+        if num <= 1e-12:
             return 0.0
         raise WordError(
             f"controllability ratio undefined: numerator {num:.3e} with zero denominator"

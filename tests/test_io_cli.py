@@ -392,3 +392,36 @@ class TestCli:
         assert dispatch(["grid", "generate", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: MATWORD_THREADS must be an integer")
         assert not out.exists()
+
+    def _assert_usage_error(self, capsys, argv, flag):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
+    def test_soft_without_delta_or_eps_is_usage_error(self, tmp_path, rng, capsys):
+        xp, yp = self._write_pair(tmp_path, rng)
+        self._assert_usage_error(
+            capsys, ["deform", "soft", "--x", str(xp), "--y", str(yp), "--polys", "z^2-1"],
+            "--delta",
+        )
+
+    def test_refine_without_grid_file_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        self._assert_usage_error(
+            capsys, ["grid", "refine", "--input", str(a), "--out", str(tmp_path / "g.json")],
+            "--grid-file",
+        )
+
+    def test_refine_without_input_is_usage_error(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--out", str(g)]) == 0
+        self._assert_usage_error(
+            capsys, ["grid", "refine", "--grid-file", str(g), "--out", str(tmp_path / "r.json")],
+            "--input",
+        )
+
+    def test_membership_without_system_is_usage_error(self, tmp_path, rng, capsys):
+        inp = tmp_path / "t.json"
+        io.save_matrices(inp, commuting_hermitian_tuple(rng, 2, 3))
+        self._assert_usage_error(capsys, ["words", "membership", "--input", str(inp)], "--system")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matword import pseudospectra
+from matword import io, pseudospectra
 from matword.linalg import operator_norm
 from matword.pseudospectra import (
     GridError,
@@ -70,6 +70,24 @@ class TestQuadtreeRefinement:
         refined = refine_grid(g, field, threshold=0.5, max_depth=2)
         depths = sorted(c.depth for c in refined.cells)
         assert depths == [1, 1, 1, 2, 2, 2, 2]
+
+    def test_field_on_another_grid_of_the_same_size_rejected(self):
+        g = quadtree_grid((0, 1, 0, 1), depth=1)
+        other = quadtree_grid((5, 6, 5, 6), depth=1)
+        assert other.size == g.size
+        with pytest.raises(GridError):
+            refine_grid(g, ScalarField2D(other, np.zeros(other.size)), threshold=0.5, max_depth=2)
+
+    def test_field_on_reloaded_grid_refines_like_the_original(self, tmp_path):
+        g = quadtree_grid((0, 1, 0, 1), depth=1)
+        io.write_grid_json(tmp_path / "g.json", g)
+        back = io.load_grid_json(tmp_path / "g.json")
+        values = np.where((g.nodes.real <= 0.3) & (g.nodes.imag <= 0.3), 0.0, 10.0)
+        expected = refine_grid(g, ScalarField2D(g, values), threshold=0.5, max_depth=2)
+        refined = refine_grid(g, ScalarField2D(back, values), threshold=0.5, max_depth=2)
+        assert back is not g and len(expected.cells) == 7
+        assert refined.cells == expected.cells
+        assert same_bits(refined.nodes, expected.nodes)
 
     def test_cells_partition_bounds(self):
         g = quadtree_grid((0, 2, 0, 2), depth=2)
