@@ -5,9 +5,10 @@ Runs ``perfbench/run.py`` of each checkout in alternating pairs (the parent
 first in even pairs, the change first in odd ones), pair k on seed k + 1,
 then one traced run per side and workload for the per-layer metrics, then
 the tier-1 suite once per side for its wall time.  The record holds every
-run, each side's median and quartiles, the change's win count, and the
-environment each side reported (BLAS threads, nproc, git SHA, a digest of
-its ``src/matword``).
+run, each side's median and quartiles, the change's win count, the two
+parts of ``setup_s`` (the fresh-interpreter import and the median input
+preparation) compared the same way, and the environment each side reported
+(BLAS threads, nproc, git SHA, a digest of its ``src/matword``).
 
 Run:  python scripts/bench_compare.py --parent ../parent --change . \\
           --pairs 10 --out BENCH_topic.json
@@ -85,9 +86,12 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 rec = bench(sides[side], w, k + 1, args.seconds, 0)
+                setup = rec["end_to_end"]["setup_s"]
                 runs[w][side].append({
                     "seed": k + 1, "correct": rec["checks"]["failed"] == 0,
                     **{m: rec["end_to_end"][m]["value"] for m in END_TO_END},
+                    "setup_parts_s": {"import_s": setup["import_s"],
+                                      "prepare_s": statistics.median(setup["prepare_s"])},
                     "parts_run_s": {p: t["value"] for p, t in rec["parts_run_s"].items()},
                     "environment": rec["environment"],
                 })
@@ -103,11 +107,12 @@ def main(argv=None) -> int:
     for w in args.workloads:
         entry = {m: compare_pairs([r[m] for r in runs[w]["parent"]],
                                   [r[m] for r in runs[w]["change"]]) for m in END_TO_END}
-        entry["parts_run_s"] = {
-            part: compare_pairs([r["parts_run_s"][part] for r in runs[w]["parent"]],
-                                [r["parts_run_s"][part] for r in runs[w]["change"]])
-            for part in runs[w]["parent"][0]["parts_run_s"]
-        }
+        for parts in ("parts_run_s", "setup_parts_s"):
+            entry[parts] = {
+                part: compare_pairs([r[parts][part] for r in runs[w]["parent"]],
+                                    [r[parts][part] for r in runs[w]["change"]])
+                for part in runs[w]["parent"][0][parts]
+            }
         entry["all_correct"] = all(r["correct"] for side in sides for r in runs[w][side])
         entry["blas_threads"] = {side: runs[w][side][0]["environment"]["blas_threads"]
                                  for side in sides}

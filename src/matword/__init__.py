@@ -84,5 +84,5 @@ from . import config
 
 __version__ = "0.1.0"
 
-# after the imports above, which load scipy's OpenBLAS as well as numpy's
+# config loads scipy's OpenBLAS itself, so the pin precedes any scipy import
 config.apply_env()

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .linalg import (
     LinalgError,
@@ -219,6 +217,8 @@ def joint_isospectral_approximant(
     exactly (conjugation); distances to source and target are recorded, and
     so is Y's joint eigenbasis.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if x.arity != y.arity or x.dim != y.dim:
         raise ApproximantError("tuples must share arity and dimension")
     n = x.dim
@@ -333,7 +333,8 @@ def dilate(psi: IsospectralApproximant, kind: str = "standard") -> IsospectralAp
     if kind == "standard":
         big = np.kron(np.eye(2), w)
     elif kind == "swap":
-        big = np.kron(SWAP2, np.eye(n)) @ scipy.linalg.block_diag(w.conj().T, w)
+        zero = np.zeros_like(w)
+        big = np.kron(SWAP2, np.eye(n)) @ np.block([[w.conj().T, zero], [zero, w]])
     else:
         raise ApproximantError(f"unknown dilation kind {kind!r}")
     return IsospectralApproximant(

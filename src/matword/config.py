@@ -9,7 +9,9 @@ environment variable.  0 means automatic: each library goes back to the
 count it started with (OPENBLAS_NUM_THREADS, else one per core).  A count
 above the usable cores is capped at the core count.  With any other BLAS
 (MKL, a distribution's shared OpenBLAS) nothing is set and
-``blas_threads()`` returns None.
+``blas_threads()`` returns None.  The libraries are opened here, from the
+wheels' files, before any scipy submodule is imported; the scipy.linalg
+that a command loads later links against the same, already pinned, copy.
 """
 
 from __future__ import annotations

@@ -79,9 +79,20 @@ def save_matrices(path, matrices, names=None, meta: dict | None = None):
 def _load_json(path) -> dict:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: parse error at byte offset {exc.pos}: {exc.msg}") from exc
+    return _require(doc, path)
+
+
+def _require(obj, where, *keys) -> dict:
+    """``obj`` itself, once it is a JSON object that holds every one of ``keys``."""
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{where}: expected a JSON object, found {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise FileFormatError(f"{where}: missing key {key!r}")
+    return obj
 
 
 def load_matrices(path):
@@ -90,13 +101,14 @@ def load_matrices(path):
     doc = _load_json(path)
     if doc.get("format") != MATRIX_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
-    dim = int(doc["dim"])
+    dim = int(_require(doc, path, "dim")["dim"])
     entries = doc.get("matrices", [])
     if not entries:
         raise FileFormatError(f"{path}: container holds no matrices")
     mats = []
     for i, rec in enumerate(entries):
-        flat = _from_pairs(rec["entries"], dim * dim, f"{path}: matrix {i}")
+        where = f"{path}: matrix {i}"
+        flat = _from_pairs(_require(rec, where, "entries")["entries"], dim * dim, where)
         mats.append(flat.reshape(dim, dim))
     if len(mats) == 1:
         return mats[0]
@@ -123,7 +135,7 @@ def load_poly(path) -> PolyC:
     doc = _load_json(path)
     if doc.get("format") != POLY_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
-    coeffs = tuple(complex(re, im) for re, im in doc["coeffs"])
+    coeffs = tuple(complex(re, im) for re, im in _require(doc, path, "coeffs")["coeffs"])
     return PolyC(coeffs, monic=bool(doc.get("monic", False)))
 
 
@@ -205,7 +217,7 @@ def load_grid_json(path) -> Grid2D:
     from .linalg import frozen
 
     doc = _load_json(path)
-    g = doc["grid"] if "grid" in doc else doc
+    g = _require(doc["grid"] if "grid" in doc else doc, path, "nodes", "bounds", "kind")
     nodes = _from_pairs(g["nodes"], len(g["nodes"]), f"{path}: nodes")
     cells = None
     if g.get("cells") is not None:
@@ -299,10 +311,12 @@ def load_ncpoly(path):
     doc = _load_json(path)
     if doc.get("format") != NCPOLY_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
+    _require(doc, path, "nvars", "polys", "eps")
     polys = []
     for poly in doc["polys"]:
         terms = []
         for alpha, w in poly:
+            _require(w, f"{path}: word", "coeff_indices", "var_indices", "exponents")
             terms.append(
                 (
                     complex(alpha[0], alpha[1]),

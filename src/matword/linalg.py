@@ -11,9 +11,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 class LinalgError(ValueError):
@@ -130,6 +127,9 @@ def threshold_clusters(points, tol: float) -> np.ndarray:
     ``tol`` in modulus.  Clusters are numbered in order of their lowest
     member.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     p = np.asarray(points, dtype=complex)
     if p.ndim == 1:
         p = p[:, None]
@@ -154,6 +154,8 @@ def cluster_eigenbasis(a, cluster_tol: float) -> tuple[list[complex], list[np.nd
     when members stray farther than ``cluster_tol`` from their representative
     or two representatives come closer than ``cluster_tol``.
     """
+    import scipy.linalg
+
     a = as_square(a)
     tol = default_tol(a.shape[0])
     defect = normality_defect(a)
@@ -346,6 +348,8 @@ def principal_unitary_log(z) -> np.ndarray:
 
     Requires Z unitary within default_tol(n), its spectrum farther than 1e-8 from -1.
     """
+    import scipy.linalg
+
     z = as_square(z)
     defect = unitarity_defect(z)
     if defect > default_tol(z.shape[0]):

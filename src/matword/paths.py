@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .linalg import as_square, default_tol, frozen, hermitian_part, operator_norm
 from .minpoly import PolyC, poly_eval_matrix
@@ -53,7 +52,12 @@ class MatrixPath:
         if not np.isfinite(s).all():
             raise PathError("samples have non-finite entries")
         object.__setattr__(self, "times", frozen(t))
-        object.__setattr__(self, "samples", frozen(s))
+        # a read-only array that owns its data (what the path functions below
+        # hand over) is adopted as is: nobody can write to it, and a second copy
+        # of a whole sample stack would raise peak memory for nothing
+        if s.flags.writeable or not s.flags.owndata:
+            s = frozen(s)
+        object.__setattr__(self, "samples", s)
 
     @property
     def dim(self) -> int:
@@ -92,6 +96,7 @@ def curved_path(h, d, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
     for i, t in enumerate(times):
         u = (q * np.exp(1j * np.pi * t * w)) @ q.conj().T
         samples[i] = u @ d @ u.conj().T
+    samples.flags.writeable = False
     return MatrixPath(times, samples, "curved", generator=frozen(hermitian_part(h)))
 
 
@@ -103,6 +108,7 @@ def flat_path(x, y, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
         raise PathError("endpoint dimensions disagree")
     times = _timegrid(n_samples)
     samples = np.array([(1.0 - t) * x + t * y for t in times])
+    samples.flags.writeable = False
     return MatrixPath(times, samples, "flat")
 
 
@@ -127,6 +133,7 @@ def flat_functional_path(
                 f"interpolant spectrum [{w.min():.3f}, {w.max():.3f}] leaves [-1, 1] at t={t:.3f}"
             )
         samples[i] = (q * np.asarray(f(w), dtype=complex)) @ q.conj().T
+    samples.flags.writeable = False
     return MatrixPath(times, samples, "flat-functional")
 
 
@@ -143,6 +150,7 @@ def concat(p: MatrixPath, q: MatrixPath, tol: float | None = None) -> MatrixPath
         raise PathError(f"junction mismatch {mismatch:.3e} exceeds tolerance {tol:.3e}")
     times = np.concatenate([p.times / 2.0, 0.5 + q.times[1:] / 2.0])
     samples = np.concatenate([p.samples, q.samples[1:]], axis=0)
+    samples.flags.writeable = False
     return MatrixPath(times, samples, "concat")
 
 
@@ -263,6 +271,8 @@ def spectrum_drift(p: MatrixPath) -> float:
     Eigenvalue multisets are matched by minimal-cost assignment, so the
     value is permutation-insensitive.
     """
+    from scipy.optimize import linear_sum_assignment
+
     ref = np.linalg.eigvals(p.samples[0])
     worst = 0.0
     for i in range(1, p.n_samples):

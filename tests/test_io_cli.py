@@ -425,3 +425,57 @@ class TestCli:
         inp = tmp_path / "t.json"
         io.save_matrices(inp, commuting_hermitian_tuple(rng, 2, 3))
         self._assert_usage_error(capsys, ["words", "membership", "--input", str(inp)], "--system")
+
+
+class TestStructurallyWrongJson:
+    """A loader handed valid JSON of the wrong shape names the file and the
+    missing key and exits 2, instead of leaving dispatch with a traceback."""
+
+    def _assert_format_error(self, capsys, argv, *fragments):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert all(f in err for f in fragments), err
+
+    def test_matrix_container_as_grid_file(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        self._assert_format_error(
+            capsys,
+            ["grid", "refine", "--grid-file", str(a), "--input", str(a),
+             "--out", str(tmp_path / "g.json")],
+            str(a), "'nodes'",
+        )
+
+    def test_matrix_container_without_dim(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        doc = json.loads(a.read_text())
+        del doc["dim"]
+        a.write_text(json.dumps(doc))
+        self._assert_format_error(
+            capsys,
+            ["scan", "--input", str(a), "--eps", "0.5", "--grid", "cheb:5x5",
+             "--bounds", "-1,1,-1,1", "--out", str(tmp_path / "f.csv")],
+            str(a), "'dim'",
+        )
+
+    def test_poly_file_without_coeffs(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"format": io.POLY_FORMAT, "monic": True}))
+        self._assert_format_error(
+            capsys,
+            ["lemniscate", "--poly", str(p), "--grid", "cheb:5x5", "--bounds", "-1,1,-1,1",
+             "--level", "0.5", "--out", str(tmp_path / "c.csv")],
+            str(p), "'coeffs'",
+        )
+
+    def test_top_level_array(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text("[[0.0, 1.0], [1.0, 0.0]]")
+        self._assert_format_error(
+            capsys,
+            ["scan", "--input", str(a), "--eps", "0.5", "--grid", "cheb:5x5",
+             "--bounds", "-1,1,-1,1", "--out", str(tmp_path / "f.csv")],
+            str(a), "JSON object",
+        )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matword import deformation
+from matword import deformation, paths
 from matword.linalg import commutator, operator_norm, phase_exp
 from matword.minpoly import PolyC
 from matword.paths import (
@@ -324,3 +324,57 @@ class TestStackedResiduals:
         samples[2, 1, 0] = bad
         with pytest.raises(PathError, match="non-finite"):
             MatrixPath(np.linspace(0.0, 1.0, 5), samples, "flat")
+
+
+class TestSampleAdoption:
+    """A path keeps the read-only stack its path function made instead of copying
+    it, and still copies any array a caller might write to later."""
+
+    @staticmethod
+    def built(monkeypatch, build):
+        """The path ``build`` returns and the samples array it handed over."""
+        handed = []
+
+        class Spy(MatrixPath):
+            def __post_init__(self):
+                handed.append(self.samples)
+                super().__post_init__()
+
+        monkeypatch.setattr(paths, "MatrixPath", Spy)
+        p = build()
+        return p, handed[-1]
+
+    @pytest.mark.parametrize("kind", ["curved", "flat", "flat-functional", "concat"])
+    def test_path_functions_hand_over_their_stack(self, monkeypatch, kind):
+        rng = np.random.default_rng(7)
+        n = 8
+        h, d = random_hermitian(rng, n), random_hermitian(rng, n)
+        build = {
+            "curved": lambda: curved_path(h, d),
+            "flat": lambda: flat_path(h, d),
+            "flat-functional": lambda: flat_functional_path(np.abs, 0.5 * h, 0.5 * d),
+            "concat": lambda: concat(flat_path(d, h), flat_path(h, d)),
+        }[kind]
+        p, handed = self.built(monkeypatch, build)
+        assert p.samples is handed
+        assert p.samples.flags.owndata and not p.samples.flags.writeable
+        assert p.samples.shape == ((129 if kind == "concat" else 65), n, n)
+
+    def test_writeable_array_is_copied(self, rng):
+        samples = random_stack(rng, 5, 3)
+        before = samples.copy()
+        p = MatrixPath(np.linspace(0.0, 1.0, 5), samples, "flat")
+        assert p.samples is not samples and not np.shares_memory(p.samples, samples)
+        assert samples.flags.writeable and not p.samples.flags.writeable
+        samples[2] = 0.0
+        assert np.array_equal(p.samples, before)
+
+    def test_read_only_view_of_writeable_base_is_copied(self, rng):
+        base = random_stack(rng, 5, 3)
+        before = base.copy()
+        view = base.view()
+        view.flags.writeable = False
+        p = MatrixPath(np.linspace(0.0, 1.0, 5), view, "flat")
+        assert not np.shares_memory(p.samples, base)
+        base[1] = 0.0
+        assert np.array_equal(p.samples, before)
