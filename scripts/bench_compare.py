@@ -4,11 +4,15 @@
 Runs ``perfbench/run.py`` of each checkout in alternating pairs (the parent
 first in even pairs, the change first in odd ones), pair k on seed k + 1,
 then one traced run per side and workload for the per-layer metrics, then
-the tier-1 suite once per side for its wall time.  The record holds every
-run, each side's median and quartiles, the change's win count, the two
-parts of ``setup_s`` (the fresh-interpreter import and the median input
-preparation) compared the same way, and the environment each side reported
-(BLAS threads, nproc, git SHA, a digest of its ``src/matword``).
+one in-process pass of each workload's commands on seed 0 per side that
+counts, by matrix size, the matrices ``linalg.operator_norm`` decomposes
+(the traced ``linalg.operator_norm.calls`` counts calls, and one call may
+take a whole stack), then the tier-1 suite once per side for its wall time.
+The record holds every run, each side's median and quartiles, the change's
+win count, the two parts of ``setup_s`` (the fresh-interpreter import and
+the median input preparation) compared the same way, the decomposed-matrix
+counts, and the environment each side reported (BLAS threads, nproc, git
+SHA, a digest of its ``src/matword``).
 
 Run:  python scripts/bench_compare.py --parent ../parent --change . \\
           --pairs 10 --out BENCH_topic.json
@@ -32,6 +36,45 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "no:cacheprovider"]
 
 
+# One pass of a workload's commands on seed 0, with every matword binding of
+# linalg.operator_norm replaced by a wrapper that counts the matrices it is
+# handed, by size.  It runs in a child interpreter on the checkout's own code.
+COUNT_DECOMPOSED = r"""
+import collections, contextlib, io, sys, json, tempfile
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import numpy as np
+import matword.cli
+from matword import linalg
+from workloads import WORKLOADS
+
+real, counts = linalg.operator_norm, collections.Counter()
+
+def counting(a):
+    a = np.asarray(a)
+    if a.size:
+        counts[a.shape[-1]] += len(a) if a.ndim == 3 else 1
+    return real(a)
+
+for name, mod in list(sys.modules.items()):
+    if name.startswith("matword") and getattr(mod, "operator_norm", None) is real:
+        mod.operator_norm = counting
+with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+    cmds = []
+    for part in WORKLOADS[sys.argv[2]].parts:
+        ind, out = Path(work, "in", part.name), Path(work, "out", part.name)
+        ind.mkdir(parents=True)
+        out.mkdir(parents=True)
+        part.make_inputs(part.base_seed, ind)
+        cmds += part.commands(part.base_seed, ind, out, False)
+    counts.clear()
+    codes = [matword.cli.dispatch(argv) for argv in cmds]
+print(json.dumps({"exit_codes": codes, "by_size": {str(n): c for n, c in sorted(counts.items())}}))
+"""
+
+
 def src_digest(root: Path) -> str:
     h = hashlib.sha256()
     for path in sorted((root / "src" / "matword").glob("*.py")):
@@ -46,6 +89,12 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> d
         cwd=root, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-2])
+
+
+def decomposed(root: Path, workload: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", COUNT_DECOMPOSED, str(root), workload],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def tier1(root: Path) -> dict:
@@ -118,6 +167,7 @@ def main(argv=None) -> int:
                                  for side in sides}
         entry["traced_seed0"] = {side: bench(root, w, 0, args.seconds, 1)["per_layer"]
                                  for side, root in sides.items()}
+        entry["decomposed_seed0"] = {side: decomposed(root, w) for side, root in sides.items()}
         result["workloads"][w] = entry
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

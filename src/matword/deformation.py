@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from .approximants import (
+    ApproximantError,
     dilate,
     double_embed,
     joint_isospectral_approximant,
@@ -25,11 +26,14 @@ from .approximants import (
     upper_left_block,
 )
 from .linalg import (
+    ClusteringError,
+    JointDiagonalizationError,
     NormalTuple,
     default_tol,
     hermitian_part,
     joint_diagonalize,
     max_commutator,
+    max_operator_norm,
     operator_norm,
     principal_unitary_log,
     threshold_clusters,
@@ -541,15 +545,18 @@ def _relation_residual(members, kind: str) -> float:
     max(0, ||Z_j|| - 1).  Sphere: ||sum_j Z_j^2 - 1||.
     """
     stacks = [np.asarray(z).reshape(-1, *np.shape(z)[-2:]) for z in members]
+    blocks = sample_blocks(len(stacks[0]))
+    if kind == "cube":
+        worst, _ = max_operator_norm(np.concatenate([z[b] for z in stacks]) for b in blocks)
+        return max(0.0, worst - 1.0)
     eye = np.eye(stacks[0].shape[-1])
-    worst = 0.0
-    for b in sample_blocks(len(stacks[0])):
-        if kind == "cube":
-            res = operator_norm(np.concatenate([z[b] for z in stacks])) - 1.0
-        else:
-            res = operator_norm(sum(z[b] @ z[b] for z in stacks) - eye)
-        worst = max(worst, float(res.max()))
-    return worst
+    worst, _ = max_operator_norm(sum(z[b] @ z[b] for z in stacks) - eye for b in blocks)
+    return max(0.0, worst)
+
+
+# The pipelines' domain refusals.  Any other error (a PathError, a shape bug)
+# is a fault, not a failed trial, and propagates.
+_REFUSALS = (DeformationError, ApproximantError, ClusteringError, JointDiagonalizationError)
 
 
 def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation):
@@ -559,8 +566,8 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
     dilation mismatch (None without a lift), ``connect`` runs the pipeline
     on the lifted tuples, and ``base_relation(y)`` is the target's own
     relation residual.  A lifted trial must also compress back onto its
-    source.  A refused connection is recorded as a failed trial with
-    infinite residuals; it is never raised.
+    source.  A connection refused with one of _REFUSALS is recorded as a
+    failed trial with infinite residuals; any other error is raised.
     """
     end_bound = 1e-8 * size
     records = []
@@ -571,7 +578,7 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
         cross = max_commutator(product(x, y))
         try:
             res = connect(lx, ly)
-        except (DeformationError, ValueError):  # recorded, not raised
+        except _REFUSALS:  # recorded, not raised
             records.append(TrialRecord(
                 sub.seed, math.inf, math.inf, math.inf, math.inf, None, math.inf, 0.0,
                 cross, mismatch, None, False,
@@ -605,9 +612,9 @@ def verify_ulpac(
 
     Generates seeded instance pairs, connects them with the soft algebraic
     pipeline, and records endpoint, polynomial, commutation and defining
-    relation residuals along every path.  Failures are recorded, never
-    raised.  The default pass threshold 10*delta + 5*eps_alg was calibrated
-    on seeded runs of this harness.
+    relation residuals along every path.  Failed and refused trials are
+    recorded, not raised.  The default pass threshold 10*delta + 5*eps_alg
+    was calibrated on seeded runs of this harness.
     """
     if spec.polys is None:
         raise DeformationError("ULPAC verification needs polynomial constraints")

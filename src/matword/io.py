@@ -95,20 +95,38 @@ def _require(obj, where, *keys) -> dict:
     return obj
 
 
+_REQUIRED = object()
+
+
+def _value(obj, where, key, convert, default=_REQUIRED):
+    """``convert(obj[key])``; a value of the wrong type or shape raises
+    FileFormatError naming the file and the key.  Given a ``default``, the
+    key may be absent or null."""
+    if default is not _REQUIRED and obj.get(key) is None:
+        return default
+    value = _require(obj, where, key)[key]
+    try:
+        return convert(value)
+    except FileFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{where}: malformed value for key {key!r}: {exc}") from exc
+
+
 def load_matrices(path):
     """Load the container; a single matrix comes back as an array, several
     as a NormalTuple with freshly computed bounds."""
     doc = _load_json(path)
     if doc.get("format") != MATRIX_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
-    dim = int(_require(doc, path, "dim")["dim"])
-    entries = doc.get("matrices", [])
+    dim = _value(doc, path, "dim", int)
+    entries = _value(doc, path, "matrices", list, default=[])
     if not entries:
         raise FileFormatError(f"{path}: container holds no matrices")
     mats = []
     for i, rec in enumerate(entries):
         where = f"{path}: matrix {i}"
-        flat = _from_pairs(_require(rec, where, "entries")["entries"], dim * dim, where)
+        flat = _value(rec, where, "entries", lambda e: _from_pairs(e, dim * dim, where))
         mats.append(flat.reshape(dim, dim))
     if len(mats) == 1:
         return mats[0]
@@ -135,7 +153,7 @@ def load_poly(path) -> PolyC:
     doc = _load_json(path)
     if doc.get("format") != POLY_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
-    coeffs = tuple(complex(re, im) for re, im in _require(doc, path, "coeffs")["coeffs"])
+    coeffs = _value(doc, path, "coeffs", lambda cs: tuple(complex(re, im) for re, im in cs))
     return PolyC(coeffs, monic=bool(doc.get("monic", False)))
 
 
@@ -218,18 +236,15 @@ def load_grid_json(path) -> Grid2D:
 
     doc = _load_json(path)
     g = _require(doc["grid"] if "grid" in doc else doc, path, "nodes", "bounds", "kind")
-    nodes = _from_pairs(g["nodes"], len(g["nodes"]), f"{path}: nodes")
-    cells = None
-    if g.get("cells") is not None:
-        cells = tuple(QuadCell(c[0], c[1], c[2], c[3], int(c[4])) for c in g["cells"])
-    shape = None if g.get("shape") is None else tuple(int(v) for v in g["shape"])
+    nodes = _value(g, path, "nodes", lambda v: _from_pairs(v, len(v), f"{path}: nodes"))
     return Grid2D(
-        bounds=tuple(float(b) for b in g["bounds"]),
+        bounds=_value(g, path, "bounds", lambda b: tuple(float(v) for v in b)),
         nodes=frozen(nodes),
         kind=g["kind"],
-        shape=shape,
-        cells=cells,
-        cell_order=int(g.get("cell_order", 3)),
+        shape=_value(g, path, "shape", lambda sh: tuple(int(v) for v in sh), default=None),
+        cells=_value(g, path, "cells", lambda cs: tuple(
+            QuadCell(c[0], c[1], c[2], c[3], int(c[4])) for c in cs), default=None),
+        cell_order=_value(g, path, "cell_order", int, default=3),
     )
 
 
@@ -311,21 +326,20 @@ def load_ncpoly(path):
     doc = _load_json(path)
     if doc.get("format") != NCPOLY_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
-    _require(doc, path, "nvars", "polys", "eps")
-    polys = []
-    for poly in doc["polys"]:
-        terms = []
-        for alpha, w in poly:
-            _require(w, f"{path}: word", "coeff_indices", "var_indices", "exponents")
-            terms.append(
-                (
-                    complex(alpha[0], alpha[1]),
-                    WordSpec(
-                        tuple(int(i) for i in w["coeff_indices"]),
-                        tuple(int(i) for i in w["var_indices"]),
-                        tuple(int(i) for i in w["exponents"]),
-                    ),
-                )
-            )
-        polys.append(tuple(terms))
-    return NCPolySystem(int(doc["nvars"]), tuple(polys), float(doc["eps"]))
+
+    def term(alpha, w):
+        _require(w, f"{path}: word", "coeff_indices", "var_indices", "exponents")
+        return (
+            complex(alpha[0], alpha[1]),
+            WordSpec(
+                tuple(int(i) for i in w["coeff_indices"]),
+                tuple(int(i) for i in w["var_indices"]),
+                tuple(int(i) for i in w["exponents"]),
+            ),
+        )
+
+    nvars = _value(doc, path, "nvars", int)
+    eps = _value(doc, path, "eps", float)
+    polys = _value(doc, path, "polys", lambda ps: tuple(
+        tuple(term(alpha, w) for alpha, w in poly) for poly in ps))
+    return NCPolySystem(nvars, polys, eps)

@@ -225,12 +225,16 @@ def lemniscate_contours(field: ScalarField2D, level: float) -> list[np.ndarray]:
     z = grid.nodes.reshape(q, p)
     f = field.values.reshape(q, p)
 
+    # only cells whose corners straddle the level have segments; nonzero
+    # keeps the row-major order of the all-cells loop
+    inside = f < level
+    c = (inside[:-1, :-1], inside[:-1, 1:], inside[1:, 1:], inside[1:, :-1])
+    straddles = (c[0] != c[1]) | (c[1] != c[2]) | (c[2] != c[3])
     segments: list[tuple[complex, complex]] = []
-    for iy in range(q - 1):
-        for ix in range(p - 1):
-            corners = (z[iy, ix], z[iy, ix + 1], z[iy + 1, ix + 1], z[iy + 1, ix])
-            values = (f[iy, ix], f[iy, ix + 1], f[iy + 1, ix + 1], f[iy + 1, ix])
-            segments.extend(_cell_segments(corners, values, level))
+    for iy, ix in zip(*np.nonzero(straddles)):
+        corners = (z[iy, ix], z[iy, ix + 1], z[iy + 1, ix + 1], z[iy + 1, ix])
+        values = (f[iy, ix], f[iy, ix + 1], f[iy + 1, ix + 1], f[iy + 1, ix])
+        segments.extend(_cell_segments(corners, values, level))
     return _stitch(segments)
 
 

@@ -17,9 +17,16 @@ from matword.deformation import (
     verify_aulpac,
     verify_ulpac,
 )
-from matword.linalg import NormalTuple, operator_norm
+from matword.approximants import ApproximantError, MatchingError
+from matword.linalg import (
+    ClusteringError,
+    JointDiagonalizationError,
+    LinalgError,
+    NormalTuple,
+    operator_norm,
+)
 from matword.minpoly import PolyC, poly_eval_matrix, poly_residual
-from matword.paths import NormalityConstraint, spectrum_drift
+from matword.paths import NormalityConstraint, PathError, spectrum_drift
 from matword.sampling import unitary_near_identity
 
 Z2M1 = PolyC((-1.0, 0.0, 1.0))  # z^2 - 1
@@ -352,6 +359,28 @@ class TestTrialRecords:
         assert r.relation_bound == 0.0
         assert r.dilation_mismatch == ok.dilation_mismatch > 0.0
         assert r.recovery_residual is None
+
+    @pytest.mark.parametrize("verify,pipeline,spec", [
+        (verify_ulpac, "connect_soft_algebraic",
+         InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3)),
+        (verify_aulpac, "connect_commuting", InstanceSpec("cube", 2, 8, 0.02, 81)),
+    ])
+    @pytest.mark.parametrize("error", [
+        DeformationError, ApproximantError, MatchingError, ClusteringError,
+        JointDiagonalizationError, PathError, LinalgError, ValueError,
+    ])
+    def test_only_domain_refusals_are_recorded(self, monkeypatch, verify, pipeline, spec, error):
+        def connect(*args, **kwargs):
+            raise error("from the pipeline")
+
+        monkeypatch.setattr(deformation, pipeline, connect)
+        refusals = (DeformationError, ApproximantError, ClusteringError, JointDiagonalizationError)
+        if issubclass(error, refusals):
+            (r,) = verify(spec, 1, eps_pass=0.2).records
+            assert r.passed is False and r.achieved_eps == np.inf
+        else:
+            with pytest.raises(error, match="from the pipeline"):
+                verify(spec, 1, eps_pass=0.2)
 
 
 def test_normality_is_gated(monkeypatch):

@@ -429,7 +429,8 @@ class TestCli:
 
 class TestStructurallyWrongJson:
     """A loader handed valid JSON of the wrong shape names the file and the
-    missing key and exits 2, instead of leaving dispatch with a traceback."""
+    missing or malformed key and exits 2, instead of leaving dispatch with a
+    traceback."""
 
     def _assert_format_error(self, capsys, argv, *fragments):
         assert dispatch(argv) == 2
@@ -478,4 +479,46 @@ class TestStructurallyWrongJson:
             ["scan", "--input", str(a), "--eps", "0.5", "--grid", "cheb:5x5",
              "--bounds", "-1,1,-1,1", "--out", str(tmp_path / "f.csv")],
             str(a), "JSON object",
+        )
+
+    @pytest.mark.parametrize("key,value", [("dim", None), ("dim", [2]), ("matrices", 5)])
+    def test_matrix_container_with_wrong_typed_value(self, tmp_path, capsys, key, value):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        doc = json.loads(a.read_text())
+        doc[key] = value
+        a.write_text(json.dumps(doc))
+        self._assert_format_error(
+            capsys,
+            ["scan", "--input", str(a), "--eps", "0.5", "--grid", "cheb:5x5",
+             "--bounds", "-1,1,-1,1", "--out", str(tmp_path / "f.csv")],
+            str(a), repr(key),
+        )
+
+    @pytest.mark.parametrize("coeffs", [[1, 2], [["a", "b"]], [[1, 2, 3]], 7])
+    def test_poly_file_with_wrong_typed_coeffs(self, tmp_path, capsys, coeffs):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"format": io.POLY_FORMAT, "coeffs": coeffs}))
+        self._assert_format_error(
+            capsys,
+            ["lemniscate", "--poly", str(p), "--grid", "cheb:5x5", "--bounds", "-1,1,-1,1",
+             "--level", "0.5", "--out", str(tmp_path / "c.csv")],
+            str(p), "'coeffs'",
+        )
+
+    @pytest.mark.parametrize("key,value", [("bounds", None), ("shape", 3), ("nodes", 0)])
+    def test_grid_file_with_wrong_typed_value(self, tmp_path, capsys, key, value):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        g = tmp_path / "g.json"
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--bounds", "-1,1,-1,1",
+                         "--out", str(g)]) == 0
+        doc = json.loads(g.read_text())
+        doc["grid"][key] = value
+        g.write_text(json.dumps(doc))
+        self._assert_format_error(
+            capsys,
+            ["grid", "refine", "--grid-file", str(g), "--input", str(a),
+             "--out", str(tmp_path / "r.json")],
+            str(g), repr(key),
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matword import minpoly
 from matword.linalg import LinalgError
 from matword.minpoly import (
     PolyC,
@@ -13,7 +14,7 @@ from matword.minpoly import (
     poly_residual,
     ritz_values,
 )
-from matword.pseudospectra import GridError, chebyshev_grid
+from matword.pseudospectra import GridError, ScalarField2D, chebyshev_grid
 from matword.sampling import haar_unitary
 
 
@@ -165,11 +166,42 @@ class TestLemniscates:
         with pytest.raises(GridError):
             lemniscate_contours(field, 0.5)
 
+    @pytest.mark.parametrize("case", ["figure-eight", "ties", "saddles"])
+    def test_straddling_cells_match_all_cells_loop(self, case):
+        g = chebyshev_grid((-1.6, 1.6, -0.8, 0.8), 61, 31)
+        values = lemniscate_field(PolyC((-1.0, 0.0, 1.0)), g).values
+        level = 1.0  # |z^2 - 1| = 1 pinches at the saddle z = 0
+        if case == "ties":
+            # a quarter of the nodes sit exactly on the level
+            values = np.round(values * 4) / 4
+        elif case == "saddles":
+            # 0/1 corners make many cells whose diagonals straddle the level
+            values = np.random.default_rng(3).integers(0, 2, g.size) * 2.0
+        field = ScalarField2D(g, values)
+        got = lemniscate_contours(field, level)
+        want = looped_contours(field, level)
+        assert len(got) == len(want) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_level_must_be_positive(self):
         g = chebyshev_grid((-1, 1, -1, 1), 5, 5)
         field = lemniscate_field(PolyC((0.0, 1.0)), g)
         with pytest.raises(GridError):
             lemniscate_contours(field, 0.0)
+
+
+def looped_contours(field, level):
+    """Reference contours: marching squares over every cell of the grid."""
+    q, p = field.grid.shape
+    z = field.grid.nodes.reshape(q, p)
+    f = field.values.reshape(q, p)
+    segments = []
+    for iy in range(q - 1):
+        for ix in range(p - 1):
+            corners = (z[iy, ix], z[iy, ix + 1], z[iy + 1, ix + 1], z[iy + 1, ix])
+            values = (f[iy, ix], f[iy, ix + 1], f[iy + 1, ix + 1], f[iy + 1, ix])
+            segments.extend(minpoly._cell_segments(corners, values, level))
+    return minpoly._stitch(segments)
 
 
 def test_poly_residual_matches_eigenvalue_sup(rng):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from matword import deformation, paths
-from matword.linalg import commutator, operator_norm, phase_exp
+from matword import deformation, linalg, paths
+from matword.linalg import commutator, max_operator_norm, operator_norm, phase_exp
 from matword.minpoly import PolyC
 from matword.paths import (
     CommutationConstraint,
@@ -11,7 +13,6 @@ from matword.paths import (
     PathError,
     PolynomialConstraint,
     TargetDistanceConstraint,
-    _constraint_residuals,
     concat,
     curved_path,
     export_records,
@@ -74,6 +75,21 @@ class TestFlatPath:
         for s in p.samples:
             assert operator_norm(s @ x - x @ s) < 1e-14
             assert operator_norm(s @ y - y @ s) < 1e-14
+
+    def test_stack_matches_list_expression_and_is_built_in_place(self, rng):
+        n = 64
+        x, y = random_hermitian(rng, n), random_hermitian(rng, n)
+        times = np.linspace(0.0, 1.0, 65)
+        want = np.array([(1.0 - t) * x + t * y for t in times])
+        tracemalloc.start()
+        try:
+            p = flat_path(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p.samples, want)
+        # one stack plus per-sample temporaries, not a list and its copy
+        assert peak < 1.25 * want.nbytes
 
 
 class TestFlatFunctionalPath:
@@ -287,7 +303,6 @@ class TestStackedResiduals:
         ]
         for c in constraints:
             expected = looped_residuals(p, c)
-            assert np.array_equal(_constraint_residuals(p, c), expected)
             (entry,) = verify_path(p, [c]).entries
             assert entry.max_residual == expected.max()
             assert entry.worst_t == p.times[np.argmax(expected)]
@@ -324,6 +339,121 @@ class TestStackedResiduals:
         samples[2, 1, 0] = bad
         with pytest.raises(PathError, match="non-finite"):
             MatrixPath(np.linspace(0.0, 1.0, 5), samples, "flat")
+
+
+def looped_max(stack):
+    """Reference maximum and first argmax: one operator_norm call per sample."""
+    norms = [operator_norm(z) for z in stack]
+    worst = int(np.argmax(norms))
+    return norms[worst], worst
+
+
+def in_blocks(stack):
+    return (stack[b] for b in paths.sample_blocks(len(stack)))
+
+
+def decomposed(stack):
+    """How many samples max_operator_norm hands to operator_norm for ``stack``."""
+    count = [0]
+    real = linalg.operator_norm
+
+    def counting(a):
+        count[0] += len(a)
+        return real(a)
+
+    linalg.operator_norm = counting
+    try:
+        max_operator_norm(in_blocks(stack))
+    finally:
+        linalg.operator_norm = real
+    return count[0]
+
+
+class TestMaxOperatorNorm:
+    """max_operator_norm skips samples behind a bound; its answer must still be
+    the looped oracle's, bit for bit, including the first argmax."""
+
+    @staticmethod
+    def check(stack):
+        got = max_operator_norm(in_blocks(stack))
+        assert got == looped_max(stack)
+        assert type(got[0]) is float and type(got[1]) is int
+        return got
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_ties_zeros_and_a_single_sample(self, n):
+        rng = np.random.default_rng(n)
+        a, b = random_stack(rng, 2, n)
+        # the largest matrix recurs in the same block and in later blocks
+        stack = np.array([b, a, b, a, a] + [b] * 12 + [a] * 48)
+        assert self.check(stack)[1] == int(operator_norm(a) > operator_norm(b))
+        assert self.check(np.zeros((65, n, n), dtype=complex)) == (0.0, 0)
+        assert decomposed(np.zeros((65, n, n))) == 1
+        self.check(stack[:1])
+        self.check(np.zeros((1, n, n)))
+
+    def test_largest_at_the_last_sample(self, rng):
+        stack = random_stack(rng, 65, 16)
+        stack *= (np.linspace(0.5, 1.0, 65) / operator_norm(stack))[:, None, None]
+        assert self.check(stack)[1] == 64
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1065])
+    def test_rank_one_samples_where_the_bounds_are_tight(self, n, scale):
+        # u v* with unit u and v has norm 1 and Frobenius norm 1, so bounds and
+        # norms differ only by rounding, which alone picks the argmax; the
+        # second scale makes every entry subnormal
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((65, n, 1)) + 1j * rng.standard_normal((65, n, 1))
+        v = rng.standard_normal((65, 1, n)) + 1j * rng.standard_normal((65, 1, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        self.check(scale * (u @ v))
+        self.check(scale * (u @ v) * (1.0 + 1e-15 * rng.permutation(65))[:, None, None])
+
+    def test_curved_path_norms_equal_up_to_rounding(self, rng):
+        # conjugation keeps every singular value, so all 65 samples tie up to
+        # rounding and the computed norms decide the argmax
+        p = curved_path(random_hermitian(rng, 16), random_stack(rng, 1, 16)[0])
+        self.check(p.samples)
+        q = curved_path(p.generator, random_hermitian(rng, 16))
+        c = CommutationConstraint(q, 1.0)
+        expected = looped_residuals(p, c)
+        assert np.ptp(expected) < 1e-12 * expected.max()
+        (entry,) = verify_path(p, [c]).entries
+        assert entry.max_residual == expected.max()
+        assert entry.worst_t == p.times[np.argmax(expected)]
+
+    def test_subnormal_and_huge_samples(self, rng):
+        stack = random_stack(rng, 20, 3)
+        stack *= np.ldexp(1.0, rng.integers(-1070, 1000, 20))[:, None, None]
+        self.check(stack)
+
+    def test_a_benchmark_trial_decomposes_under_half_its_samples(self, monkeypatch):
+        # one trial of verify aulpac --kind sphere --m 2 --n 32 --seed 7 (64 x 64)
+        seen, decomposed = [0], [0]
+        real = linalg.operator_norm
+
+        def counting_norm(a):
+            decomposed[0] += len(a)
+            return real(a)
+
+        def counting_max(blocks):
+            def counted():
+                for r in blocks:
+                    seen[0] += len(r)
+                    yield r
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "operator_norm", counting_norm)
+                return max_operator_norm(counted())
+
+        monkeypatch.setattr(paths, "max_operator_norm", counting_max)
+        monkeypatch.setattr(deformation, "max_operator_norm", counting_max)
+        (r,) = deformation.verify_aulpac(deformation.InstanceSpec("sphere", 2, 32, 0.02, 7),
+                                         1).records
+        assert r.passed
+        assert seen[0] > 300
+        assert 0 < decomposed[0] <= seen[0] / 2
 
 
 class TestSampleAdoption:
