@@ -21,7 +21,6 @@ from .linalg import (
     default_tol,
     frozen,
     joint_diagonalize,
-    max_commutator,
     operator_norm,
     polar_decomposition,
     unitarity_defect,
@@ -32,17 +31,11 @@ class ApproximantError(ValueError):
     pass
 
 
-class MatchingError(ApproximantError):
-    """Eigenvalue matching cost exceeded the requested bound."""
-
-
 @dataclass(frozen=True)
 class ProjectionFamily:
     """Pairwise orthogonal hermitian projections summing to the identity."""
 
     projections: tuple[np.ndarray, ...]
-    orthogonality_residual: float
-    completeness_residual: float
 
     @classmethod
     def from_projections(cls, projs, tol: float | None = None) -> "ProjectionFamily":
@@ -62,7 +55,7 @@ class ProjectionFamily:
             raise ApproximantError(f"family not pairwise orthogonal: {ortho:.3e}")
         if complete > tol:
             raise ApproximantError(f"family does not resolve the identity: {complete:.3e}")
-        return cls(projs, ortho, complete)
+        return cls(projs)
 
     def __len__(self):
         return len(self.projections)
@@ -100,7 +93,6 @@ class CommutingUnitaryResult:
 
     z: np.ndarray
     constant: float
-    commutation_residual: float
     completed_blocks: tuple[int, ...]
 
 
@@ -126,8 +118,7 @@ def nearby_commuting_unitary(
     r = len(values)
     if r == 1:
         # Everything commutes with an (almost) scalar matrix.
-        return CommutingUnitaryResult(frozen(w.conj().T), 0.0,
-                                      operator_norm(commutator(w.conj().T, d)), ())
+        return CommutingUnitaryResult(frozen(w.conj().T), 0.0, ())
 
     s = min(
         abs(values[i] - values[j]) for i in range(r) for j in range(i + 1, r)
@@ -147,9 +138,7 @@ def nearby_commuting_unitary(
         v += basis @ vb @ basis.conj().T
 
     z = v.conj().T
-    constant = 3.0 * r * (r - 1) / s
-    residual = operator_norm(commutator(z, d))
-    return CommutingUnitaryResult(frozen(z), constant, residual, tuple(completed))
+    return CommutingUnitaryResult(frozen(z), 3.0 * r * (r - 1) / s, tuple(completed))
 
 
 @dataclass(frozen=True)
@@ -158,10 +147,6 @@ class IsospectralApproximant:
 
     w: np.ndarray
     permutation: np.ndarray | None  # source slot i -> target slot permutation[i]
-    matching_cost: float
-    source_distance: float  # max_j ||W X_j W* - X_j||
-    target_distance: float  # max_j ||W X_j W* - Y_j||
-    commutation_residual: float  # max_j ||[W X_j W*, Y_j]||
     # (U, diagonals) of the target's joint diagonalization, when matched to one
     target_basis: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
 
@@ -177,36 +162,29 @@ class IsospectralApproximant:
         return IsospectralApproximant(
             frozen(self.w.conj().T),
             None if self.permutation is None else frozen(np.argsort(self.permutation)),
-            self.matching_cost,
-            self.source_distance,
-            self.target_distance,
-            self.commutation_residual,
         )
 
 
 def matching_cost_matrix(
-    dx: list[np.ndarray], dy: list[np.ndarray], overlap: np.ndarray | None = None,
-    overlap_weight: float = 0.0,
+    dx: list[np.ndarray], dy: list[np.ndarray], overlap: np.ndarray, overlap_weight: float
 ) -> np.ndarray:
     """Assignment cost between joint eigenvalue slots.
 
-    Base cost is the maximum coordinatewise modulus difference.  When an
-    eigenvector overlap matrix is supplied, slots with disjoint eigenvectors
-    are penalized, which breaks value ties toward the geometric
-    correspondence (crossed matches on near-degenerate values would
-    otherwise make the conjugation uncompressible).
+    Base cost is the maximum coordinatewise modulus difference.  Slots with
+    disjoint eigenvectors (by the overlap matrix) are penalized, which breaks
+    value ties toward the geometric correspondence (crossed matches on
+    near-degenerate values would otherwise make the conjugation
+    uncompressible).
     """
     n = dx[0].shape[0]
     cost = np.zeros((n, n))
     for dxj, dyj in zip(dx, dy):
         cost = np.maximum(cost, np.abs(dxj[:, None] - dyj[None, :]))
-    if overlap is not None and overlap_weight > 0.0:
-        cost = cost + overlap_weight * (1.0 - np.abs(overlap) ** 2)
-    return cost
+    return cost + overlap_weight * (1.0 - np.abs(overlap) ** 2)
 
 
 def joint_isospectral_approximant(
-    x: NormalTuple, y: NormalTuple, delta: float, max_cost: float | None = None
+    x: NormalTuple, y: NormalTuple, delta: float
 ) -> IsospectralApproximant:
     """Unitary conjugation carrying X's joint eigenbasis onto Y's.
 
@@ -214,8 +192,7 @@ def joint_isospectral_approximant(
     vectors are matched by minimal-cost assignment where a pair costs the
     maximum coordinatewise modulus difference, plus an eigenvector-overlap
     tie-break at the scale of the pair distance.  Spectra are preserved
-    exactly (conjugation); distances to source and target are recorded, and
-    so is Y's joint eigenbasis.
+    exactly (conjugation); Y's joint eigenbasis is recorded.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -241,22 +218,12 @@ def joint_isospectral_approximant(
     cost = matching_cost_matrix(dx, dy, overlap, overlap_weight=max(delta, 1e-12))
     rows, cols = linear_sum_assignment(cost)
     perm = cols[np.argsort(rows)]
-    value_cost = matching_cost_matrix(dx, dy)
-    matched = float(value_cost[np.arange(n), perm].max())
-    if max_cost is not None and matched > max_cost:
-        raise MatchingError(f"matching cost {matched:.3e} exceeds {max_cost:.3e}")
 
     p = np.zeros((n, n))
     p[perm, np.arange(n)] = 1.0
     w = uy @ p @ ux.conj().T
-
-    wx = [w @ xj @ w.conj().T for xj in x]
-    src = max(operator_norm(a - xj) for a, xj in zip(wx, x))
-    tgt = max(operator_norm(a - yj) for a, yj in zip(wx, y))
-    comm = max_commutator(zip(wx, y))
     return IsospectralApproximant(
-        frozen(w), frozen(perm), matched, src, tgt, comm,
-        (frozen(uy), tuple(frozen(d) for d in dy)),
+        frozen(w), frozen(perm), (frozen(uy), tuple(frozen(d) for d in dy)),
     )
 
 
@@ -337,10 +304,7 @@ def dilate(psi: IsospectralApproximant, kind: str = "standard") -> IsospectralAp
         big = np.kron(SWAP2, np.eye(n)) @ np.block([[w.conj().T, zero], [zero, w]])
     else:
         raise ApproximantError(f"unknown dilation kind {kind!r}")
-    return IsospectralApproximant(
-        frozen(big), None, psi.matching_cost, psi.source_distance,
-        psi.target_distance, psi.commutation_residual,
-    )
+    return IsospectralApproximant(frozen(big), None)
 
 
 def conjugation_tuple_map(w):
@@ -353,10 +317,9 @@ def conjugation_tuple_map(w):
     return phi
 
 
-def dilation_tuple_map(w, kind: str = "standard"):
-    """Elementwise doubling followed by the dilated conjugation."""
-    psi = IsospectralApproximant(frozen(as_square(w)), None, 0.0, 0.0, 0.0, 0.0)
-    big = dilate(psi, kind)
+def dilation_tuple_map(w):
+    """Elementwise doubling followed by the standard dilated conjugation."""
+    big = dilate(IsospectralApproximant(frozen(as_square(w)), None))
 
     def phi(mats):
         return [big.apply(double_embed(m)) for m in mats]

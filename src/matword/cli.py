@@ -23,7 +23,6 @@ from .deformation import (
     verify_aulpac,
     verify_ulpac,
 )
-from .linalg import NormalTuple
 from .minpoly import approx_min_poly, lemniscate_contours, lemniscate_field
 from .pseudospectra import (
     chebyshev_grid,
@@ -62,15 +61,13 @@ def _parse_grid_arg(spec: str, bounds):
     raise CliError(f"unknown grid spec {spec!r} (use cheb:PxQ or quad:DEPTH)")
 
 
-def _as_single_matrix(loaded) -> np.ndarray:
-    if isinstance(loaded, NormalTuple):
-        if loaded.arity == 1:
-            return np.asarray(loaded[0])
-        if loaded.arity == 2:
-            # hermitian pair: scan the joint spectrum through X + iY
-            return np.asarray(loaded[0]) + 1j * np.asarray(loaded[1])
-        raise CliError("input must hold one matrix or a hermitian pair")
-    return loaded
+def _as_single_matrix(mats) -> np.ndarray:
+    if len(mats) == 1:
+        return mats[0]
+    if len(mats) == 2:
+        # hermitian pair: scan the joint spectrum through X + iY
+        return mats[0] + 1j * mats[1]
+    raise CliError("input must hold one matrix or a hermitian pair")
 
 
 def _load_polys(args, m: int):
@@ -86,6 +83,13 @@ def _load_polys(args, m: int):
     if len(polys) == 1:
         polys = polys * m
     return tuple(polys)
+
+
+def _instance_spec(args) -> InstanceSpec:
+    return InstanceSpec(
+        kind=args.kind, m=args.m, n=args.n, delta=args.delta, seed=args.seed,
+        polys=_load_polys(args, args.m), eps_alg=args.eps_alg,
+    )
 
 
 def _need(value, message: str):
@@ -178,11 +182,7 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    polys = _load_polys(args, args.m)
-    spec = InstanceSpec(
-        kind=args.kind, m=args.m, n=args.n, delta=args.delta, seed=args.seed,
-        polys=polys, eps_alg=args.eps_alg,
-    )
+    spec = _instance_spec(args)
     if args.mode == "ulpac":
         report = verify_ulpac(spec, args.trials, eps_pass=args.eps)
     else:
@@ -196,12 +196,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    polys = _load_polys(args, args.m)
-    spec = InstanceSpec(
-        kind=args.kind, m=args.m, n=args.n, delta=args.delta, seed=args.seed,
-        polys=polys, eps_alg=args.eps_alg,
-    )
-    x, y = generate_instance(spec)
+    x, y = generate_instance(_instance_spec(args))
     io.save_matrices(args.out, x, meta={"seed": args.seed, "kind": args.kind})
     io.save_matrices(args.out_y, y, meta={"seed": args.seed, "kind": args.kind})
     print(f"instance -> {args.out}, {args.out_y}")
@@ -209,7 +204,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_words(args) -> int:
-    x = io.load_tuple(args.input)
+    x = io.load_matrices(args.input)
     if args.action == "membership":
         system = io.load_ncpoly(_need(args.system, "words membership needs --system"))
         if args.eps is not None:
@@ -227,9 +222,9 @@ def _cmd_words(args) -> int:
     if args.function:
         system = io.load_ncpoly(args.function)
         comps = tuple(tuple((a, w) for a, w in poly) for poly in system.polys)
-        f = WordFunction(x.arity, comps)
+        f = WordFunction(len(x), comps)
     else:
-        f = WordFunction.identity(x.arity)
+        f = WordFunction.identity(len(x))
     values = eval_word_function(f, x)
     if args.out:
         io.save_matrices(args.out, values)
@@ -243,6 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="BLAS threads (0 = the library's default); falls back to "
                          "MATWORD_THREADS, then 1")
     sub = ap.add_subparsers(dest="command")
+
+    # the seeded instance recipe that verify and generate share
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--kind", choices=["cube", "sphere"], default="cube")
+    instance.add_argument("--m", type=int, required=True)
+    instance.add_argument("--n", type=int, required=True)
+    instance.add_argument("--delta", type=float, required=True)
+    instance.add_argument("--seed", type=int, required=True)
+    instance.add_argument("--polys", nargs="*", default=None)
+    instance.add_argument("--eps-alg", type=float, default=0.0)
 
     p = sub.add_parser("scan", help="pseudospectrum field, mask and scanning triples")
     p.add_argument("--input", required=True)
@@ -292,29 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", default=None, help="dump sampled paths as (t, matrix) records")
     p.set_defaults(func=_cmd_deform)
 
-    p = sub.add_parser("verify", help="randomized connectivity verification")
+    p = sub.add_parser("verify", parents=[instance], help="randomized connectivity verification")
     p.add_argument("mode", choices=["ulpac", "aulpac"])
-    p.add_argument("--kind", choices=["cube", "sphere"], default="cube")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--polys", nargs="*", default=None)
-    p.add_argument("--eps-alg", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("generate", help="emit a seeded instance pair")
-    p.add_argument("--kind", choices=["cube", "sphere"], default="cube")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--polys", nargs="*", default=None)
-    p.add_argument("--eps-alg", type=float, default=0.0)
+    p = sub.add_parser("generate", parents=[instance], help="emit a seeded instance pair")
     p.add_argument("--out", required=True)
     p.add_argument("--out-y", required=True)
     p.set_defaults(func=_cmd_generate)

@@ -480,8 +480,6 @@ class ConnectivityReport:
 
     @property
     def pass_rate(self) -> float:
-        if not self.records:
-            return 1.0
         return sum(r.passed for r in self.records) / len(self.records)
 
     @property
@@ -490,11 +488,7 @@ class ConnectivityReport:
 
     def achieved_stats(self) -> dict:
         vals = [r.achieved_eps for r in self.records]
-        return {
-            "min": min(vals, default=0.0),
-            "max": max(vals, default=0.0),
-            "mean": float(np.mean(vals)) if vals else 0.0,
-        }
+        return {"min": min(vals), "max": max(vals), "mean": float(np.mean(vals))}
 
     def to_json_dict(self) -> dict:
         return {
@@ -567,8 +561,11 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
     on the lifted tuples, and ``base_relation(y)`` is the target's own
     relation residual.  A lifted trial must also compress back onto its
     source.  A connection refused with one of _REFUSALS is recorded as a
-    failed trial with infinite residuals; any other error is raised.
+    failed trial with infinite residuals; any other error is raised.  Fewer
+    than one trial raises DeformationError.
     """
+    if trials < 1:
+        raise DeformationError(f"need at least one trial, got {trials}")
     end_bound = 1e-8 * size
     records = []
     for t in range(trials):

@@ -55,6 +55,16 @@ def _from_pairs(pairs, count: int, what: str) -> np.ndarray:
     return out
 
 
+def _write_json(path, doc):
+    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+
+
+def _write_lines(path, lines: list[str], header: str | None):
+    """Text lines, after a '# header' comment line when ``header`` is set."""
+    head = [f"# {header}"] if header else []
+    Path(path).write_text("\n".join(head + lines) + "\n", encoding="utf-8")
+
+
 def save_matrices(path, matrices, names=None, meta: dict | None = None):
     """Write one or more square matrices to the JSON container."""
     if isinstance(matrices, NormalTuple):
@@ -73,7 +83,7 @@ def save_matrices(path, matrices, names=None, meta: dict | None = None):
     }
     if meta:
         doc["meta"] = meta
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    _write_json(path, doc)
 
 
 def _load_json(path) -> dict:
@@ -113,13 +123,14 @@ def _value(obj, where, key, convert, default=_REQUIRED):
         raise FileFormatError(f"{where}: malformed value for key {key!r}: {exc}") from exc
 
 
-def load_matrices(path):
-    """Load the container; a single matrix comes back as an array, several
-    as a NormalTuple with freshly computed bounds."""
+def load_matrices(path) -> tuple[np.ndarray, ...]:
+    """The container's matrices, in file order."""
     doc = _load_json(path)
     if doc.get("format") != MATRIX_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
     dim = _value(doc, path, "dim", int)
+    if dim < 1:
+        raise FileFormatError(f"{path}: key 'dim' must be at least 1, found {dim}")
     entries = _value(doc, path, "matrices", list, default=[])
     if not entries:
         raise FileFormatError(f"{path}: container holds no matrices")
@@ -128,16 +139,12 @@ def load_matrices(path):
         where = f"{path}: matrix {i}"
         flat = _value(rec, where, "entries", lambda e: _from_pairs(e, dim * dim, where))
         mats.append(flat.reshape(dim, dim))
-    if len(mats) == 1:
-        return mats[0]
-    return NormalTuple.from_matrices(mats)
+    return tuple(mats)
 
 
 def load_tuple(path) -> NormalTuple:
-    got = load_matrices(path)
-    if isinstance(got, NormalTuple):
-        return got
-    return NormalTuple.from_matrices([got])
+    """The container's matrices as a NormalTuple with freshly computed bounds."""
+    return NormalTuple.from_matrices(load_matrices(path))
 
 
 def save_poly(path, p: PolyC):
@@ -146,7 +153,7 @@ def save_poly(path, p: PolyC):
         "coeffs": [[complex(c).real, complex(c).imag] for c in p.coeffs],
         "monic": bool(p.monic),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    _write_json(path, doc)
 
 
 def load_poly(path) -> PolyC:
@@ -196,17 +203,13 @@ def parse_poly_literal(text: str) -> PolyC:
 
 
 def write_field_csv(path, field: ScalarField2D, mask: np.ndarray | None = None, header: str | None = None):
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    cols = "re,im,value" + (",mask" if mask is not None else "")
-    lines.append(cols)
+    lines = ["re,im,value" + (",mask" if mask is not None else "")]
     for i, z in enumerate(field.grid.nodes):
         row = f"{float(z.real)!r},{float(z.imag)!r},{float(field.values[i])!r}"
         if mask is not None:
             row += f",{int(mask[i])}"
         lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines, header)
 
 
 def _grid_dict(g: Grid2D) -> dict:
@@ -227,7 +230,7 @@ def field_json_dict(field: ScalarField2D) -> dict:
 
 
 def write_field_json(path, field: ScalarField2D):
-    Path(path).write_text(json.dumps(field_json_dict(field), sort_keys=True), encoding="utf-8")
+    _write_json(path, field_json_dict(field))
 
 
 def load_grid_json(path) -> Grid2D:
@@ -249,8 +252,7 @@ def load_grid_json(path) -> Grid2D:
 
 
 def write_grid_json(path, grid: Grid2D):
-    doc = {"grid": _grid_dict(grid)}
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    _write_json(path, {"grid": _grid_dict(grid)})
 
 
 def triples_json_dict(triples: list[ScanTriple]) -> list[dict]:
@@ -267,31 +269,23 @@ def triples_json_dict(triples: list[ScanTriple]) -> list[dict]:
 
 
 def write_triples_json(path, triples: list[ScanTriple]):
-    Path(path).write_text(json.dumps(triples_json_dict(triples), sort_keys=True), encoding="utf-8")
+    _write_json(path, triples_json_dict(triples))
 
 
 def write_contours_csv(path, contours, header: str | None = None):
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("contour,vertex,re,im")
+    lines = ["contour,vertex,re,im"]
     for ci, poly in enumerate(contours):
         for vi, z in enumerate(poly):
             lines.append(f"{ci},{vi},{float(z.real)!r},{float(z.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines, header)
 
 
 def write_json_report(path, doc: dict):
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    _write_json(path, doc)
 
 
 def write_csv_rows(path, rows, header_comment: str | None = None):
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, [",".join(str(v) for v in row) for row in rows], header_comment)
 
 
 def ncpoly_json_dict(system) -> dict:
@@ -317,7 +311,7 @@ def ncpoly_json_dict(system) -> dict:
 
 
 def save_ncpoly(path, system):
-    Path(path).write_text(json.dumps(ncpoly_json_dict(system), sort_keys=True), encoding="utf-8")
+    _write_json(path, ncpoly_json_dict(system))
 
 
 def load_ncpoly(path):

@@ -178,14 +178,11 @@ def cartesian_decomposition(a) -> tuple[np.ndarray, np.ndarray]:
     return h, k
 
 
-def phase_exp(h, t: float = 1.0) -> np.ndarray:
-    """exp(i * pi * t * H) for hermitian H, via eigendecomposition.
-
-    The result is unitary up to rounding regardless of ``t``.
-    """
+def phase_exp(h) -> np.ndarray:
+    """exp(i * pi * H) for hermitian H, via eigendecomposition; unitary up to rounding."""
     h = hermitian_part(as_square(h))
     w, q = np.linalg.eigh(h)
-    return (q * np.exp(1j * np.pi * t * w)) @ q.conj().T
+    return (q * np.exp(1j * np.pi * w)) @ q.conj().T
 
 
 def polar_decomposition(a) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +275,6 @@ class SpectralDecomposition:
 
     values: tuple[complex, ...]
     projections: tuple[np.ndarray, ...]
-    cluster_tol: float
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros_like(self.projections[0])
@@ -295,7 +291,7 @@ def spectral_decomposition(a, cluster_tol: float) -> SpectralDecomposition:
     """Clustered spectral decomposition of a matrix normal within default_tol(n)."""
     values, bases = cluster_eigenbasis(a, cluster_tol)
     projections = tuple(frozen(b @ b.conj().T) for b in bases)
-    return SpectralDecomposition(tuple(values), projections, cluster_tol)
+    return SpectralDecomposition(tuple(values), projections)
 
 
 def max_commutator(pairs) -> float:
@@ -305,11 +301,10 @@ def max_commutator(pairs) -> float:
 
 @dataclass(frozen=True)
 class NormalTuple:
-    """Ordered tuple of same-size normal contractions with recorded slack."""
+    """Ordered tuple of same-size normal matrices with their largest pairwise commutator."""
 
     matrices: tuple[np.ndarray, ...]
     commutator_bound: float
-    contraction_slack: float
 
     @classmethod
     def from_matrices(cls, mats) -> "NormalTuple":
@@ -320,8 +315,7 @@ class NormalTuple:
         for m in mats:
             if m.shape[0] != n:
                 raise LinalgError("tuple members have mixed dimensions")
-        slack = max((max(0.0, operator_norm(m) - 1.0) for m in mats), default=0.0)
-        return cls(mats, max_commutator(combinations(mats, 2)), slack)
+        return cls(mats, max_commutator(combinations(mats, 2)))
 
     @property
     def dim(self) -> int:

@@ -48,8 +48,6 @@ class PathError(ValueError):
 class MatrixPath:
     times: np.ndarray  # (s,), increasing, t[0] = 0, t[-1] = 1
     samples: np.ndarray  # (s, n, n)
-    kind: str  # "curved" | "flat" | "flat-functional" | "concat"
-    generator: np.ndarray | None = None  # hermitian H for curved paths
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -108,7 +106,7 @@ def curved_path(h, d, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
         u = (q * np.exp(1j * np.pi * t * w)) @ q.conj().T
         samples[i] = u @ d @ u.conj().T
     samples.flags.writeable = False
-    return MatrixPath(times, samples, "curved", generator=frozen(hermitian_part(h)))
+    return MatrixPath(times, samples)
 
 
 def flat_path(x, y, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
@@ -122,12 +120,10 @@ def flat_path(x, y, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
     for i, t in enumerate(times):
         samples[i] = (1.0 - t) * x + t * y
     samples.flags.writeable = False
-    return MatrixPath(times, samples, "flat")
+    return MatrixPath(times, samples)
 
 
-def flat_functional_path(
-    f: Callable[[np.ndarray], np.ndarray], h2, h3, n_samples: int = DEFAULT_SAMPLES
-) -> MatrixPath:
+def flat_functional_path(f: Callable[[np.ndarray], np.ndarray], h2, h3) -> MatrixPath:
     """Spectral path t -> f(t*H3 + (1-t)*H2) for hermitian contractions.
 
     ``f`` receives the eigenvalue vector; spectra must stay inside [-1, 1]
@@ -137,8 +133,8 @@ def flat_functional_path(
     h3 = hermitian_part(as_square(h3))
     if h2.shape != h3.shape:
         raise PathError("endpoint dimensions disagree")
-    times = _timegrid(n_samples)
-    samples = np.empty((n_samples, *h2.shape), dtype=complex)
+    times = _timegrid(DEFAULT_SAMPLES)
+    samples = np.empty((DEFAULT_SAMPLES, *h2.shape), dtype=complex)
     for i, t in enumerate(times):
         w, q = np.linalg.eigh((1.0 - t) * h2 + t * h3)
         if w.min() < -1.0 - 1e-8 or w.max() > 1.0 + 1e-8:
@@ -147,24 +143,24 @@ def flat_functional_path(
             )
         samples[i] = (q * np.asarray(f(w), dtype=complex)) @ q.conj().T
     samples.flags.writeable = False
-    return MatrixPath(times, samples, "flat-functional")
+    return MatrixPath(times, samples)
 
 
-def concat(p: MatrixPath, q: MatrixPath, tol: float | None = None) -> MatrixPath:
+def concat(p: MatrixPath, q: MatrixPath) -> MatrixPath:
     """Concatenation: p traversed on [0, 1/2], q on [1/2, 1].
 
-    Endpoints must match within ``tol``; the junction keeps p's final sample.
+    Endpoints must match within default_tol(n); the junction keeps p's final sample.
     """
     if p.dim != q.dim:
         raise PathError("path dimensions disagree")
-    tol = default_tol(p.dim) if tol is None else tol
+    tol = default_tol(p.dim)
     mismatch = operator_norm(p.end - q.start)
     if mismatch > tol:
         raise PathError(f"junction mismatch {mismatch:.3e} exceeds tolerance {tol:.3e}")
     times = np.concatenate([p.times / 2.0, 0.5 + q.times[1:] / 2.0])
     samples = np.concatenate([p.samples, q.samples[1:]], axis=0)
     samples.flags.writeable = False
-    return MatrixPath(times, samples, "concat")
+    return MatrixPath(times, samples)
 
 
 def path_length(p: MatrixPath) -> float:

@@ -138,6 +138,8 @@ def quadtree_grid(bounds: Bounds, depth: int = 0, cell_order: int = 3) -> Grid2D
     bounds = _validate_bounds(bounds)
     if cell_order < 2:
         raise GridError("cell_order must be >= 2")
+    if depth < 0:
+        raise GridError(f"depth must be >= 0, got {depth}")
     cells = [QuadCell(*bounds, 0)]
     for _ in range(depth):
         cells = [child for c in cells for child in c.children()]

@@ -102,14 +102,14 @@ class WordFunction:
         return cls(arity, comps)
 
 
-def _eval_sums(sums, x, arity: int, what: str, coeffs) -> list[np.ndarray]:
-    """Evaluate sums of (alpha, word) terms on a tuple and its adjoints."""
+def _eval_sums(sums, x, arity: int, what: str) -> list[np.ndarray]:
+    """Evaluate sums of (alpha, word) terms on a tuple and its adjoints,
+    with the identity as the only coefficient."""
     mats = _as_matrix_list(x)
     if len(mats) != arity:
         raise WordError(f"arity mismatch: {what} takes {arity}, tuple has {len(mats)}")
     n = mats[0].shape[0]
-    if coeffs is None:
-        coeffs = [np.eye(n, dtype=complex)]
+    coeffs = [np.eye(n, dtype=complex)]
     variables = mats + [m.conj().T for m in mats]
     out = []
     for terms in sums:
@@ -122,7 +122,7 @@ def _eval_sums(sums, x, arity: int, what: str, coeffs) -> list[np.ndarray]:
 
 def eval_word_function(f: WordFunction, x) -> list[np.ndarray]:
     """Evaluate each component on a tuple, with the identity as the only coefficient."""
-    return _eval_sums(f.components, x, f.arity, "function", None)
+    return _eval_sums(f.components, x, f.arity, "function")
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,9 @@ def commutator_system(nvars: int, eps: float) -> NCPolySystem:
     return NCPolySystem(nvars, tuple(polys), eps)
 
 
-def variety_membership(x, system: NCPolySystem, coeffs: Sequence | None = None):
+def variety_membership(x, system: NCPolySystem):
     """Evaluate residual norms of the system; member iff all are <= eps."""
-    values = _eval_sums(system.polys, x, system.nvars, "system", coeffs)
+    values = _eval_sums(system.polys, x, system.nvars, "system")
     residuals = [operator_norm(v) for v in values]
     member = all(r <= system.eps for r in residuals)
     return member, residuals

@@ -94,7 +94,7 @@ def criterion_1_report() -> dict:
             w = unitary_near_identity(rng, n, 0.2) @ block
         res = nearby_commuting_unitary(w, d, cluster_tol=0.05, min_gap=0.15)
         assert res.constant == pytest.approx(3.0 * r * (r - 1) / s, rel=1e-12)
-        worst_comm = max(worst_comm, res.commutation_residual / n)
+        worst_comm = max(worst_comm, operator_norm(commutator(res.z, d)) / n)
         lhs = operator_norm(np.eye(n) - w @ res.z)
         rhs = res.constant * operator_norm(w @ d @ w.conj().T - d)
         assert lhs <= rhs + 1e-10, f"trial {t}: {lhs} > {rhs}"
@@ -166,7 +166,7 @@ def criterion_3_report() -> dict:
             worst_roundtrip,
             operator_norm(upper_left_block(double_embed(x)) - x),
         )
-        psi = IsospectralApproximant(frozen(w), None, 0.0, 0.0, 0.0, 0.0)
+        psi = IsospectralApproximant(frozen(w), None)
         small = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         lhs = upper_left_block(dilate(psi, "swap").inverse().apply(double_embed(small)))
         rhs = upper_left_block(dilate(psi, "standard").apply(double_embed(small)))
@@ -294,9 +294,7 @@ def criterion_6_report() -> dict:
         worst_comm = max(worst_comm, res.max_commutation)
         for p in res.paths:
             half = p.n_samples // 2 + 1
-            curved = MatrixPath(
-                np.linspace(0.0, 1.0, half), np.array(p.samples[:half]), "curved"
-            )
+            curved = MatrixPath(np.linspace(0.0, 1.0, half), np.array(p.samples[:half]))
             worst_drift = max(worst_drift, spectrum_drift(curved))
     return {
         "trials": trials,

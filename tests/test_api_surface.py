@@ -2,8 +2,9 @@
 
 A parameter with a default that no call sets is a knob that does nothing,
 and each one doubles the configurations a reader has to consider.  Calls
-are resolved by function name over the library, the scripts, the tests and
-the benchmark.  A call whose argument only forwards a parameter of its
+are resolved by function name over the library, the scripts and the
+benchmark; a parameter that only tests set is a knob no user turns, so
+calls in the tests do not count.  A call whose argument only forwards a parameter of its
 enclosing function that is itself never set does not count.
 """
 
@@ -11,7 +12,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CALLER_DIRS = ("src/matword", "scripts", "tests", "perfbench")
+CALLER_DIRS = ("src/matword", "scripts", "perfbench")
 
 
 def defaulted_parameters() -> dict:

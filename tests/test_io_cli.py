@@ -42,14 +42,17 @@ class TestMatrixContainer:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         path = tmp_path / "a.json"
         io.save_matrices(path, a)
-        back = io.load_matrices(path)
+        (back,) = io.load_matrices(path)
         assert np.array_equal(back, a)
 
     def test_round_trip_tuple(self, tmp_path, rng):
         mats = commuting_hermitian_tuple(rng, 3, 5)
         path = tmp_path / "t.json"
         io.save_matrices(path, mats)
-        back = io.load_matrices(path)
+        got = io.load_matrices(path)
+        assert isinstance(got, tuple) and len(got) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(got, mats))
+        back = io.load_tuple(path)
         assert isinstance(back, NormalTuple)
         assert all(np.array_equal(a, b) for a, b in zip(back, mats))
         # bounds are recomputed, not trusted
@@ -130,7 +133,7 @@ class TestEntryPairs:
         a = a.reshape(4, 4)
         path = tmp_path / "a.json"
         io.save_matrices(path, a)
-        back = io.load_matrices(path)
+        (back,) = io.load_matrices(path)
         assert np.array_equal(back.view(np.int64), a.view(np.int64))
 
 
@@ -320,7 +323,7 @@ class TestCli:
              "--delta", "0.01", "--seed", "3", "--out", str(xo), "--out-y", str(yo)]
         )
         assert code == 0
-        x = io.load_matrices(xo)
+        x = io.load_tuple(xo)
         assert isinstance(x, NormalTuple)
         total = sum(m @ m for m in x.matrices)
         assert np.linalg.norm(total - np.eye(6), 2) <= 1e-10
@@ -426,6 +429,24 @@ class TestCli:
         io.save_matrices(inp, commuting_hermitian_tuple(rng, 2, 3))
         self._assert_usage_error(capsys, ["words", "membership", "--input", str(inp)], "--system")
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_fewer_than_one_trial_is_usage_error(self, tmp_path, capsys, trials):
+        report = tmp_path / "r.json"
+        self._assert_usage_error(
+            capsys,
+            ["verify", "ulpac", "--m", "2", "--n", "4", "--delta", "0.02", "--seed", "7",
+             "--polys", "z^2-1", "--trials", trials, "--report", str(report)],
+            f"got {trials}",
+        )
+        assert not report.exists()
+
+    def test_negative_quadtree_depth_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        self._assert_usage_error(
+            capsys, ["grid", "generate", "--grid", "quad:-1", "--out", str(out)], "depth"
+        )
+        assert not out.exists()
+
 
 class TestStructurallyWrongJson:
     """A loader handed valid JSON of the wrong shape names the file and the
@@ -481,7 +502,9 @@ class TestStructurallyWrongJson:
             str(a), "JSON object",
         )
 
-    @pytest.mark.parametrize("key,value", [("dim", None), ("dim", [2]), ("matrices", 5)])
+    @pytest.mark.parametrize(
+        "key,value", [("dim", None), ("dim", [2]), ("dim", 0), ("dim", -2), ("matrices", 5)]
+    )
     def test_matrix_container_with_wrong_typed_value(self, tmp_path, capsys, key, value):
         a = tmp_path / "a.json"
         io.save_matrices(a, np.diag([0.1, 0.2]))

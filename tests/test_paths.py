@@ -95,26 +95,27 @@ class TestFlatPath:
 class TestFlatFunctionalPath:
     def test_constant_endpoints(self, rng):
         h = random_hermitian(rng, 4, norm=0.8)
-        p = flat_functional_path(lambda w: w, h, h, 7)
+        p = flat_functional_path(lambda w: w, h, h)
         assert all(operator_norm(s - h) < 1e-12 for s in p.samples)
 
     def test_identity_function_matches_flat(self, rng):
         h2 = random_hermitian(rng, 4, norm=0.7)
         h3 = random_hermitian(rng, 4, norm=0.7)
-        p1 = flat_functional_path(lambda w: w, h2, h3, 9)
-        p2 = flat_path(h2, h3, 9)
+        p1 = flat_functional_path(lambda w: w, h2, h3)
+        p2 = flat_path(h2, h3)
         for a, b in zip(p1.samples, p2.samples):
             assert operator_norm(a - b) < 1e-12
 
     def test_square_midpoint(self):
         h2 = np.zeros((3, 3))
         h3 = np.eye(3)
-        p = flat_functional_path(lambda w: w**2, h2, h3, 5)
-        assert operator_norm(p.samples[2] - 0.25 * np.eye(3)) < 1e-13
+        p = flat_functional_path(lambda w: w**2, h2, h3)
+        assert p.times[32] == 0.5
+        assert operator_norm(p.samples[32] - 0.25 * np.eye(3)) < 1e-13
 
     def test_spectrum_escape_rejected(self):
         with pytest.raises(PathError):
-            flat_functional_path(lambda w: w, 3.0 * np.eye(2), np.eye(2), 5)
+            flat_functional_path(lambda w: w, 3.0 * np.eye(2), np.eye(2))
 
 
 class TestConcat:
@@ -122,7 +123,7 @@ class TestConcat:
         x, y = random_hermitian(rng, 3), random_hermitian(rng, 3)
         p = flat_path(x, y, 9)
         tail = flat_path(y, y, 9)
-        joined = concat(p, tail, tol=1e-10)
+        joined = concat(p, tail)
         assert operator_norm(joined.start - x) < 1e-14
         assert operator_norm(joined.end - y) < 1e-14
 
@@ -148,7 +149,7 @@ class TestConcat:
         p = flat_path(x, y, 5)
         q = flat_path(y + 0.1 * np.eye(3), x, 5)
         with pytest.raises(PathError):
-            concat(p, q, tol=1e-6)
+            concat(p, q)
 
 
 class TestPathLength:
@@ -231,7 +232,7 @@ def test_curved_path_matches_phase_exp(rng):
     h = random_hermitian(rng, 4, norm=0.6)
     d = random_hermitian(rng, 4)
     p = curved_path(h, d, 5)
-    u = phase_exp(h, 0.5)
+    u = phase_exp(0.5 * h)
     assert operator_norm(p.samples[2] - u @ d @ u.conj().T) < 1e-12
 
 
@@ -282,7 +283,7 @@ def random_stack(rng, s, n, scale=1.0):
 
 
 def random_path(rng, s, n):
-    return MatrixPath(np.linspace(0.0, 1.0, s), random_stack(rng, s, n), "flat")
+    return MatrixPath(np.linspace(0.0, 1.0, s), random_stack(rng, s, n))
 
 
 # sample counts on and off the 16-sample block boundary
@@ -322,7 +323,7 @@ class TestStackedResiduals:
 
     def test_partner_on_another_time_grid_rejected(self, rng):
         p = random_path(rng, 5, 3)
-        other = MatrixPath(np.array([0.0, 0.1, 0.2, 0.6, 1.0]), random_stack(rng, 5, 3), "flat")
+        other = MatrixPath(np.array([0.0, 0.1, 0.2, 0.6, 1.0]), random_stack(rng, 5, 3))
         for partner in (other, random_path(rng, 9, 3), random_path(rng, 5, 4)):
             with pytest.raises(PathError):
                 verify_path(p, [CommutationConstraint(partner, 1.0)])
@@ -338,7 +339,7 @@ class TestStackedResiduals:
         samples = random_stack(rng, 5, 3)
         samples[2, 1, 0] = bad
         with pytest.raises(PathError, match="non-finite"):
-            MatrixPath(np.linspace(0.0, 1.0, 5), samples, "flat")
+            MatrixPath(np.linspace(0.0, 1.0, 5), samples)
 
 
 def looped_max(stack):
@@ -414,9 +415,10 @@ class TestMaxOperatorNorm:
     def test_curved_path_norms_equal_up_to_rounding(self, rng):
         # conjugation keeps every singular value, so all 65 samples tie up to
         # rounding and the computed norms decide the argmax
-        p = curved_path(random_hermitian(rng, 16), random_stack(rng, 1, 16)[0])
+        h = random_hermitian(rng, 16)
+        p = curved_path(h, random_stack(rng, 1, 16)[0])
         self.check(p.samples)
-        q = curved_path(p.generator, random_hermitian(rng, 16))
+        q = curved_path(h, random_hermitian(rng, 16))
         c = CommutationConstraint(q, 1.0)
         expected = looped_residuals(p, c)
         assert np.ptp(expected) < 1e-12 * expected.max()
@@ -493,7 +495,7 @@ class TestSampleAdoption:
     def test_writeable_array_is_copied(self, rng):
         samples = random_stack(rng, 5, 3)
         before = samples.copy()
-        p = MatrixPath(np.linspace(0.0, 1.0, 5), samples, "flat")
+        p = MatrixPath(np.linspace(0.0, 1.0, 5), samples)
         assert p.samples is not samples and not np.shares_memory(p.samples, samples)
         assert samples.flags.writeable and not p.samples.flags.writeable
         samples[2] = 0.0
@@ -504,7 +506,7 @@ class TestSampleAdoption:
         before = base.copy()
         view = base.view()
         view.flags.writeable = False
-        p = MatrixPath(np.linspace(0.0, 1.0, 5), view, "flat")
+        p = MatrixPath(np.linspace(0.0, 1.0, 5), view)
         assert not np.shares_memory(p.samples, base)
         base[1] = 0.0
         assert np.array_equal(p.samples, before)

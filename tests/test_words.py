@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matword.approximants import conjugation_tuple_map, dilation_tuple_map, double_embed
+from matword.approximants import (
+    IsospectralApproximant,
+    conjugation_tuple_map,
+    dilate,
+    dilation_tuple_map,
+    double_embed,
+)
 from matword.clifford import clifford_distance
 from matword.linalg import NormalTuple, operator_norm
 from matword.sampling import commuting_hermitian_tuple, haar_unitary, random_hermitian
 from matword.words import (
-    NCPolySystem,
     WordError,
     WordFunction,
     WordSpec,
@@ -117,23 +122,12 @@ class TestWordFunction:
 
 class TestVarietyMembership:
     def test_fixed_diagonal_commutant(self):
-        # matrices commuting with diag(n, ..., 1): exact membership at eps 0
+        # matrices commuting with N = diag(n, ..., 1), N as a second variable:
+        # exact membership at eps 0
         n = 4
         big_n = np.diag(np.arange(n, 0, -1).astype(float))
         x = np.diag([0.3, -0.2, 0.9, 0.0])
-        system = NCPolySystem(
-            1,
-            (
-                (
-                    (1.0 + 0j, WordSpec((1,), (0,), (1,))),
-                    (-1.0 + 0j, WordSpec((0, 1), (0, 0), (1, 0))),
-                ),
-            ),
-            eps=0.0,
-        )
-        member, residuals = variety_membership(
-            [x], system, coeffs=[np.eye(n), big_n]
-        )
+        member, residuals = variety_membership([x, big_n], commutator_system(2, 0.0))
         assert member
         assert residuals[0] <= 1e-14
 
@@ -162,14 +156,14 @@ class TestControllability:
     def test_equal_tuples_give_zero(self, rng):
         mats = commuting_hermitian_tuple(rng, 2, 4)
         f = WordFunction.identity(2)
-        phi = dilation_tuple_map(haar_unitary(rng, 4), "standard")
+        phi = dilation_tuple_map(haar_unitary(rng, 4))
         assert controllability_ratio(f, phi, mats, mats) == 0.0
 
     def test_identity_function_ratio_one(self, rng):
         x = commuting_hermitian_tuple(rng, 2, 4)
         y = commuting_hermitian_tuple(rng, 2, 4)
         f = WordFunction.identity(2)
-        phi = dilation_tuple_map(haar_unitary(rng, 4), "standard")
+        phi = dilation_tuple_map(haar_unitary(rng, 4))
         assert controllability_ratio(f, phi, x, y) == pytest.approx(1.0, abs=1e-8)
 
     def test_square_word_ratio_bounded(self):
@@ -180,7 +174,7 @@ class TestControllability:
             rng = np.random.default_rng(7000 + seed)
             x = commuting_hermitian_tuple(rng, 2, 4)
             y = commuting_hermitian_tuple(rng, 2, 4)
-            phi = dilation_tuple_map(haar_unitary(rng, 4), "standard")
+            phi = dilation_tuple_map(haar_unitary(rng, 4))
             worst = max(worst, controllability_ratio(f, phi, x, y))
         assert worst <= 1.0 + 1e-8
 
@@ -188,7 +182,11 @@ class TestControllability:
         f = WordFunction(2, (((1.0 + 0j, WordSpec((0,), (0,), (2,))),),))
         x = commuting_hermitian_tuple(rng, 2, 4)
         y = commuting_hermitian_tuple(rng, 2, 4)
-        phi = dilation_tuple_map(haar_unitary(rng, 4), "swap")
+        big = dilate(IsospectralApproximant(haar_unitary(rng, 4), None), "swap")
+
+        def phi(mats):
+            return [big.apply(double_embed(m)) for m in mats]
+
         assert controllability_ratio(f, phi, x, y) <= 1.0 + 1e-8
 
     def test_constant_estimation(self, rng):
