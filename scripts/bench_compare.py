@@ -7,12 +7,16 @@ then one traced run per side and workload for the per-layer metrics, then
 one in-process pass of each workload's commands on seed 0 per side that
 counts, by matrix size, the matrices ``linalg.operator_norm`` decomposes
 (the traced ``linalg.operator_norm.calls`` counts calls, and one call may
-take a whole stack), then the tier-1 suite once per side for its wall time.
+take a whole stack), then one ``matword verify aulpac`` trial at the top of
+desk scale (n = 128, dilated to 256) per side in a fresh interpreter, which
+reports its own peak RSS and the sha256 of its JSON report, then the tier-1
+suite once per side for its wall time.
 The record holds every run, each side's median and quartiles, the change's
 win count, the two parts of ``setup_s`` (the fresh-interpreter import and
 the median input preparation) compared the same way, the decomposed-matrix
-counts, and the environment each side reported (BLAS threads, nproc, git
-SHA, a digest of its ``src/matword``).
+counts, the top-of-desk run's wall time, peak RSS and digest, and the
+environment each side reported (BLAS threads, nproc, git SHA, a digest of
+its ``src/matword``).
 
 Run:  python scripts/bench_compare.py --parent ../parent --change . \\
           --pairs 10 --out BENCH_topic.json
@@ -27,6 +31,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -75,6 +80,27 @@ print(json.dumps({"exit_codes": codes, "by_size": {str(n): c for n, c in sorted(
 """
 
 
+# One verify trial at the top of desk scale, run through the checkout's own CLI
+# in a child interpreter that prints its exit code, its own peak RSS (Linux
+# reports ru_maxrss in KiB) and the sha256 of the JSON report.
+TOP_OF_DESK = ["verify", "aulpac", "--kind", "sphere", "--m", "2", "--n", "128", "--delta", "0.02",
+               "--trials", "1", "--seed", "7"]
+TOP_OF_DESK_CHILD = r"""
+import contextlib, hashlib, io, json, resource, sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(sys.argv[1]) / "src"))
+import matword.cli
+
+report = Path(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = matword.cli.dispatch([*sys.argv[3:], "--report", str(report)])
+print(json.dumps({"exit_code": code,
+                  "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest()}))
+"""
+
+
 def src_digest(root: Path) -> str:
     h = hashlib.sha256()
     for path in sorted((root / "src" / "matword").glob("*.py")):
@@ -95,6 +121,18 @@ def decomposed(root: Path, workload: str) -> dict:
     proc = subprocess.run([sys.executable, "-c", COUNT_DECOMPOSED, str(root), workload],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def top_of_desk(root: Path) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", TOP_OF_DESK_CHILD, str(root), str(Path(tmp, "report.json")),
+             *TOP_OF_DESK],
+            capture_output=True, text=True, check=True,
+        )
+        wall = time.perf_counter() - start
+    return {"argv": TOP_OF_DESK, "wall_s": wall, **json.loads(proc.stdout.splitlines()[-1])}
 
 
 def tier1(root: Path) -> dict:
@@ -152,7 +190,8 @@ def main(argv=None) -> int:
         env = runs[args.workloads[0]][side][0]["environment"]
         result["sides"][side] = {"src_sha256": src_digest(root),
                                  "git_sha": env["git_sha"], "blas_threads": env["blas_threads"],
-                                 "nproc": env["nproc"], "tier1": tier1(root)}
+                                 "nproc": env["nproc"], "top_of_desk": top_of_desk(root),
+                                 "tier1": tier1(root)}
     for w in args.workloads:
         entry = {m: compare_pairs([r[m] for r in runs[w]["parent"]],
                                   [r[m] for r in runs[w]["change"]]) for m in END_TO_END}

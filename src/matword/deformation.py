@@ -12,6 +12,7 @@ before and after the curved middle.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -251,7 +252,7 @@ def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:
 
 def _curved_connect(
     x: NormalTuple, y: NormalTuple, delta: float, n_seg: int
-) -> tuple[list[MatrixPath], float]:
+) -> tuple[Iterator[MatrixPath], float]:
     """Curved paths conjugating X into Y's joint-diagonal algebra.
 
     The approximant's unitary W is compressed onto the nearest unitary What
@@ -261,8 +262,9 @@ def _curved_connect(
     cross-cluster leakage counts against compressibility.  The paths then
     conjugate by the principal-log flow of What* W.
 
-    ``delta`` is the pair distance of X and Y.  Returns the per-member
-    paths and ||W - What||.
+    ``delta`` is the pair distance of X and Y.  Returns a generator of the
+    per-member paths, each built when it is drawn so that the caller can
+    drop one before the next exists, and ||W - What||.
     """
     psi = joint_isospectral_approximant(x, y, delta)
     uy, dy = psi.target_basis
@@ -277,8 +279,7 @@ def _curved_connect(
             f"approximant is not jointly compressible: ||W - What|| = {deviation:.3e} >= 1"
         )
     h = principal_unitary_log(z)
-    paths = [curved_path(h, xj, n_seg) for xj in x]
-    return paths, deviation
+    return (curved_path(h, xj, n_seg) for xj in x), deviation
 
 
 def _assemble_result(
@@ -343,6 +344,7 @@ def _check_endpoint_residuals(polys, x, y, bound: float, reason: str):
 def _curved_then_flat(x, y, delta, eps, polys) -> DeformationResult:
     seg = (DEFAULT_SAMPLES + 1) // 2
     curved, deviation = _curved_connect(x, y, delta, seg)
+    # each curved half is dropped once its member's path holds a copy
     paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
     return _assemble_result(paths, x, y, eps, polys, delta, deviation)
 
@@ -427,11 +429,10 @@ def connect_soft_algebraic(
     seg = (DEFAULT_SAMPLES + 2) // 3 + 1
     curved, deviation = _curved_connect(xhat, yhat, _pair_distance(xhat, yhat), seg)
 
-    paths = []
-    for j, c in enumerate(curved):
-        head = flat_path(x[j], xhat[j], seg)
-        tail = flat_path(yhat[j], y[j], seg)
-        paths.append(concat(concat(head, c), tail))
+    paths = [
+        concat(flat_path(x[j], xhat[j], seg), c, flat_path(yhat[j], y[j], seg))
+        for j, c in enumerate(curved)
+    ]
     return _assemble_result(paths, x, y, eps, polys, _pair_distance(x, y), deviation)
 
 
@@ -539,7 +540,7 @@ def _relation_residual(members, kind: str) -> float:
     max(0, ||Z_j|| - 1).  Sphere: ||sum_j Z_j^2 - 1||.
     """
     stacks = [np.asarray(z).reshape(-1, *np.shape(z)[-2:]) for z in members]
-    blocks = sample_blocks(len(stacks[0]))
+    blocks = sample_blocks(len(stacks[0]), stacks[0].shape[-1])
     if kind == "cube":
         worst, _ = max_operator_norm(np.concatenate([z[b] for z in stacks]) for b in blocks)
         return max(0.0, worst - 1.0)
@@ -567,8 +568,10 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
     if trials < 1:
         raise DeformationError(f"need at least one trial, got {trials}")
     end_bound = 1e-8 * size
-    records = []
-    for t in range(trials):
+
+    def trial(t: int) -> TrialRecord:
+        # a function, so that one trial's result and paths are freed before
+        # the next trial starts
         sub = replace(spec, seed=_trial_seed(spec.seed, t))
         x, y = generate_instance(sub)
         lx, ly, mismatch = lift(x, y)
@@ -576,11 +579,10 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
         try:
             res = connect(lx, ly)
         except _REFUSALS:  # recorded, not raised
-            records.append(TrialRecord(
+            return TrialRecord(
                 sub.seed, math.inf, math.inf, math.inf, math.inf, None, math.inf, 0.0,
                 cross, mismatch, None, False,
-            ))
-            continue
+            )
         recovery = None if mismatch is None else max(
             operator_norm(upper_left_block(p.samples[0]) - h) for p, h in zip(res.paths, x)
         )
@@ -594,11 +596,13 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
             and relation <= relation_bound
             and all(v is None or v <= eps_pass for v in (mismatch, recovery))
         )
-        records.append(TrialRecord(
+        return TrialRecord(
             sub.seed, res.achieved_eps, res.endpoint_residual, res.max_commutation,
             res.max_normality, res.max_poly_residual, relation, relation_bound, cross, mismatch,
             recovery, ok,
-        ))
+        )
+
+    records = [trial(t) for t in range(trials)]
     return ConnectivityReport(mode, spec, eps_pass, tuple(records))
 
 

@@ -73,7 +73,10 @@ def save_matrices(path, matrices, names=None, meta: dict | None = None):
         matrices = [matrices]
     matrices = [as_square(m) for m in matrices]
     dim = matrices[0].shape[0]
-    names = names or [f"m{i}" for i in range(len(matrices))]
+    if names is None:
+        names = [f"m{i}" for i in range(len(matrices))]
+    elif len(names) != len(matrices):
+        raise FileFormatError(f"{len(names)} names for {len(matrices)} matrices")
     doc = {
         "format": MATRIX_FORMAT,
         "dim": dim,

@@ -2,12 +2,15 @@
 
 Paths are sampled maps [0,1] -> M_n stored as (times, samples).  The default
 sample count is 65 so that concatenation junctions land on existing samples.
+``concat`` joins any number of paths into one preallocated read-only stack,
+with the times of the left fold of binary concatenations.
 Verification is report-only: each constraint yields the maximum of its
 residual norm over the samples, the first time it is attained, and a
 pass/fail against the supplied bound.  Residuals are formed a block of
-samples at a time, and ``linalg.max_operator_norm`` runs the SVD only on the
-samples whose norm bound still reaches the running maximum, so the reported
-maxima are the per-sample SVD's to the bit.
+samples at a time, each block at most SAMPLE_BLOCK samples and
+SAMPLE_BLOCK_BYTES of complex residual, and ``linalg.max_operator_norm``
+runs the SVD only on the samples whose norm bound still reaches the running
+maximum, so the reported maxima are the per-sample SVD's to the bit.
 """
 
 from __future__ import annotations
@@ -28,20 +31,28 @@ from .linalg import (
 from .minpoly import PolyC, poly_eval_matrix
 
 DEFAULT_SAMPLES = 65
-# Residuals are evaluated on stacks of at most SAMPLE_BLOCK samples, one
-# batched matmul and SVD call per block.  Whole-path stacks cost too much
-# memory: at n = 64 the normality residual alone holds three 65x64x64
-# complex temporaries (12.2 MiB).
+# Residuals are evaluated on stacks of at most SAMPLE_BLOCK samples and
+# SAMPLE_BLOCK_BYTES of complex entries, one batched matmul and SVD call per
+# block.  Whole-path stacks cost too much memory: at n = 64 the normality
+# residual alone holds three 65x64x64 complex temporaries (12.2 MiB).  Up to
+# n = 128 a block holds SAMPLE_BLOCK samples; at n = 256 it holds 4.
 SAMPLE_BLOCK = 16
+SAMPLE_BLOCK_BYTES = 4 << 20
 
 
-def sample_blocks(count: int) -> list[slice]:
-    """Slices that walk ``count`` samples in blocks of SAMPLE_BLOCK."""
-    return [slice(i, i + SAMPLE_BLOCK) for i in range(0, count, SAMPLE_BLOCK)]
+def sample_blocks(count: int, n: int) -> list[slice]:
+    """Slices that walk ``count`` samples of n x n residuals in bounded blocks."""
+    size = max(1, min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (16 * n * n)))
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 class PathError(ValueError):
     pass
+
+
+def _check_times(t: np.ndarray):
+    if not (np.all(np.diff(t) > 0) and t[0] == 0.0 and t[-1] == 1.0):
+        raise PathError("times must increase strictly from 0 to 1")
 
 
 @dataclass(frozen=True)
@@ -56,8 +67,7 @@ class MatrixPath:
             raise PathError("a path needs at least two samples")
         if s.shape != (len(t), s.shape[1], s.shape[1]):
             raise PathError(f"samples shaped {s.shape} do not match {len(t)} times")
-        if not (np.all(np.diff(t) > 0) and t[0] == 0.0 and t[-1] == 1.0):
-            raise PathError("times must increase strictly from 0 to 1")
+        _check_times(t)
         if not np.isfinite(s).all():
             raise PathError("samples have non-finite entries")
         object.__setattr__(self, "times", frozen(t))
@@ -146,19 +156,28 @@ def flat_functional_path(f: Callable[[np.ndarray], np.ndarray], h2, h3) -> Matri
     return MatrixPath(times, samples)
 
 
-def concat(p: MatrixPath, q: MatrixPath) -> MatrixPath:
+def concat(p: MatrixPath, q: MatrixPath, *more: MatrixPath) -> MatrixPath:
     """Concatenation: p traversed on [0, 1/2], q on [1/2, 1].
 
-    Endpoints must match within default_tol(n); the junction keeps p's final sample.
+    Endpoints must match within default_tol(n); each junction keeps the
+    earlier path's final sample.  Further paths fold from the left:
+    concat(a, b, c) is concat(concat(a, b), c) bit for bit, with the same
+    times, samples, junction checks and errors in the same order, so a runs
+    on [0, 1/4], b on [1/4, 1/2] and c on [1/2, 1].  The samples are written
+    once into a single read-only stack, with no intermediate path.
     """
-    if p.dim != q.dim:
-        raise PathError("path dimensions disagree")
-    tol = default_tol(p.dim)
-    mismatch = operator_norm(p.end - q.start)
-    if mismatch > tol:
-        raise PathError(f"junction mismatch {mismatch:.3e} exceeds tolerance {tol:.3e}")
-    times = np.concatenate([p.times / 2.0, 0.5 + q.times[1:] / 2.0])
-    samples = np.concatenate([p.samples, q.samples[1:]], axis=0)
+    parts = (p, q, *more)
+    times = p.times
+    for left, right in zip(parts, parts[1:]):
+        if p.dim != right.dim:
+            raise PathError("path dimensions disagree")
+        tol = default_tol(p.dim)
+        mismatch = operator_norm(left.end - right.start)
+        if mismatch > tol:
+            raise PathError(f"junction mismatch {mismatch:.3e} exceeds tolerance {tol:.3e}")
+        times = np.concatenate([times / 2.0, 0.5 + right.times[1:] / 2.0])
+        _check_times(times)
+    samples = np.concatenate([p.samples, *(right.samples[1:] for right in parts[1:])])
     samples.flags.writeable = False
     return MatrixPath(times, samples)
 
@@ -240,7 +259,7 @@ def _residual_blocks(p: MatrixPath, c: Constraint):
         other = np.broadcast_to(other, p.samples.shape)  # a view, not a copy
     elif not isinstance(c, (NormalityConstraint, PolynomialConstraint)):
         raise PathError(f"unknown constraint {c!r}")
-    for b in sample_blocks(p.n_samples):
+    for b in sample_blocks(p.n_samples, p.dim):
         s = p.samples[b]
         if isinstance(c, CommutationConstraint):
             yield s @ other[b] - other[b] @ s

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -401,3 +402,50 @@ def test_normality_is_gated(monkeypatch):
             assert np.isfinite(r.achieved_eps)  # connected, not refused
             assert np.isfinite(r.normality_residual) and r.normality_residual > bound
             assert r.normality_residual == r_ok.normality_residual
+
+
+# Lifetimes: a verify run keeps one trial's paths at a time, and a pipeline
+# holds no curved half while it checks the assembled paths.  Each test counts
+# live weak references, with no garbage collection and no memory figures.
+LIFETIME_RUNS = [
+    (verify_aulpac, "connect_commuting", InstanceSpec("sphere", 2, 8, 0.02, 7)),
+    (verify_ulpac, "connect_soft_algebraic",
+     InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3)),
+]
+
+
+@pytest.mark.parametrize("verify, pipeline, spec", LIFETIME_RUNS)
+def test_no_earlier_trial_result_is_alive(monkeypatch, verify, pipeline, spec):
+    real, results, alive_at_call = getattr(deformation, pipeline), [], []
+
+    def recording(*args, **kwargs):
+        alive_at_call.append(sum(r() is not None for r in results))
+        res = real(*args, **kwargs)
+        results.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(deformation, pipeline, recording)
+    rep = verify(spec, 3, eps_pass=0.2)
+    assert rep.all_passed
+    assert alive_at_call == [0, 0, 0]
+
+
+@pytest.mark.parametrize("verify, pipeline, spec", LIFETIME_RUNS)
+def test_no_curved_half_is_alive_while_paths_are_checked(monkeypatch, verify, pipeline, spec):
+    real_curved, real_assemble = deformation.curved_path, deformation._assemble_result
+    halves, alive_at_assembly = [], []
+
+    def recording(*args, **kwargs):
+        c = real_curved(*args, **kwargs)
+        halves.append(weakref.ref(c))
+        return c
+
+    def assemble(*args, **kwargs):
+        alive_at_assembly.append(sum(c() is not None for c in halves))
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "curved_path", recording)
+    monkeypatch.setattr(deformation, "_assemble_result", assemble)
+    verify(spec, 2, eps_pass=0.2)
+    assert len(halves) == 2 * spec.m
+    assert alive_at_assembly == [0, 0]

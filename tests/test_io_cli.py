@@ -58,6 +58,15 @@ class TestMatrixContainer:
         # bounds are recomputed, not trusted
         assert back.commutator_bound <= 1e-12
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], []])
+    def test_names_must_match_the_matrices(self, tmp_path, names):
+        path = tmp_path / "m.json"
+        with pytest.raises(io.FileFormatError, match=f"{len(names)} names for 2 matrices"):
+            io.save_matrices(path, [np.eye(2), 2 * np.eye(2)], names=names)
+        assert not path.exists()
+        io.save_matrices(path, [np.eye(2), 2 * np.eye(2)], names=["a", "b"])
+        assert len(io.load_matrices(path)) == 2
+
     def test_truncated_file_names_offset(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "matword-matrix-v1", "dim": 2, "matrices": [')

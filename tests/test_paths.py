@@ -1,3 +1,5 @@
+import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -150,6 +152,64 @@ class TestConcat:
         q = flat_path(y + 0.1 * np.eye(3), x, 5)
         with pytest.raises(PathError):
             concat(p, q)
+
+    @staticmethod
+    def chain(seed, lengths, n=3):
+        """Paths with the given sample counts on uneven time grids, each
+        starting at the previous one's final sample."""
+        rng = np.random.default_rng(seed)
+        parts, start = [], random_stack(rng, 1, n)[0]
+        for s in lengths:
+            times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, s - 2)), [1.0]])
+            stack = random_stack(rng, s, n)
+            stack[0] = start
+            parts.append(MatrixPath(times, stack))
+            start = stack[-1]
+        return parts
+
+    @staticmethod
+    def folded(parts):
+        """The binary concatenation formula applied from the left."""
+        times, samples = parts[0].times, parts[0].samples
+        for q in parts[1:]:
+            times = np.concatenate([times / 2.0, 0.5 + q.times[1:] / 2.0])
+            samples = np.concatenate([samples, q.samples[1:]])
+        return times, samples
+
+    @pytest.mark.parametrize("lengths", [(5, 9), (9, 2, 17), (2, 5, 33, 4), (33, 33, 22, 3)])
+    def test_n_ary_is_the_nested_fold_bit_for_bit(self, lengths):
+        parts = self.chain(len(lengths), lengths)
+        got, nested = concat(*parts), functools.reduce(concat, parts)
+        times, samples = self.folded(parts)
+        for p in (got, nested):
+            assert np.array_equal(p.times, times) and np.array_equal(p.samples, samples)
+            assert p.samples.flags.owndata and not p.samples.flags.writeable
+            assert p.times.flags.owndata and not p.times.flags.writeable
+        assert got.times[sum(lengths[:-1]) - len(lengths) + 1] == 0.5
+
+    @pytest.mark.parametrize("lengths", [(5, 9, 3), (2, 5, 33, 4)])
+    def test_bad_junction_anywhere_raises_the_nested_error(self, lengths):
+        def nested_error(parts):
+            with pytest.raises(PathError) as err:
+                functools.reduce(concat, parts)
+            return re.escape(str(err.value))
+
+        base = self.chain(7, lengths)
+        for k in range(1, len(lengths)):
+            # a shifted start at junction k, then also a larger one after it:
+            # the first one is reported
+            for shifted in ([k], range(k, len(lengths))):
+                parts = list(base)
+                for j in shifted:
+                    moved = parts[j].samples.copy()
+                    moved[0] += 0.1 * j * np.eye(3)
+                    parts[j] = MatrixPath(parts[j].times, moved)
+                with pytest.raises(PathError, match=nested_error(parts)):
+                    concat(*parts)
+            parts = list(base)
+            parts[k] = random_path(np.random.default_rng(k), 4, 4)
+            with pytest.raises(PathError, match="path dimensions disagree"):
+                concat(*parts)
 
 
 class TestPathLength:
@@ -350,7 +410,7 @@ def looped_max(stack):
 
 
 def in_blocks(stack):
-    return (stack[b] for b in paths.sample_blocks(len(stack)))
+    return (stack[b] for b in paths.sample_blocks(len(stack), stack.shape[-1]))
 
 
 def decomposed(stack):
@@ -368,6 +428,17 @@ def decomposed(stack):
     finally:
         linalg.operator_norm = real
     return count[0]
+
+
+@pytest.mark.parametrize("n, size", [(16, 16), (64, 16), (128, 16), (256, 4)])
+def test_sample_blocks_cover_every_sample_once(n, size):
+    for count in (1, 3, 4, 5, 16, 17, 65, 129):
+        blocks = paths.sample_blocks(count, n)
+        covered = np.concatenate([np.arange(count)[b] for b in blocks])
+        assert np.array_equal(covered, np.arange(count))
+        lengths = [len(range(count)[b]) for b in blocks]
+        assert min(lengths) > 0 and max(lengths) == min(size, count)
+        assert max(lengths) * 16 * n * n <= paths.SAMPLE_BLOCK_BYTES
 
 
 class TestMaxOperatorNorm:
@@ -392,6 +463,20 @@ class TestMaxOperatorNorm:
         assert decomposed(np.zeros((65, n, n))) == 1
         self.check(stack[:1])
         self.check(np.zeros((1, n, n)))
+
+    @pytest.mark.parametrize("n,s", STACK_SHAPES + [(256, 9)])
+    def test_block_size_moves_no_result(self, n, s):
+        # the byte cap gives 4-sample blocks at n = 256; the value and the first
+        # argmax are those of 16-sample blocks
+        rng = np.random.default_rng(3000 * n + s)
+        stack = random_stack(rng, s, n)
+        stack[s // 2 :: 3] = stack[s // 2]  # ties across and within blocks
+
+        def blocks(size):
+            return (stack[i : i + size] for i in range(0, s, size))
+
+        assert max_operator_norm(blocks(4)) == max_operator_norm(blocks(16))
+        assert max_operator_norm(blocks(4)) == looped_max(stack)
 
     def test_largest_at_the_last_sample(self, rng):
         stack = random_stack(rng, 65, 16)
