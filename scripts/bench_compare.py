@@ -8,13 +8,15 @@ one in-process pass of each workload's commands on seed 0 per side that
 counts, by matrix size, the matrices ``linalg.operator_norm`` decomposes
 (the traced ``linalg.operator_norm.calls`` counts calls, and one call may
 take a whole stack), then one ``matword verify aulpac`` trial at the top of
-desk scale (n = 128, dilated to 256) per side in a fresh interpreter, which
-reports its own peak RSS and the sha256 of its JSON report, then the tier-1
-suite once per side for its wall time.
+desk scale (n = 128, dilated to 256) and one ``matword scan`` at acceptance
+criterion 8's size (the seed-880000 Ginibre matrix at n = 50, a 101x101
+Chebyshev grid, eps 0.2) per side, each in a fresh interpreter that reports
+its own peak RSS and the sha256 of its outputs, then the tier-1 suite once
+per side for its wall time.
 The record holds every run, each side's median and quartiles, the change's
 win count, the two parts of ``setup_s`` (the fresh-interpreter import and
 the median input preparation) compared the same way, the decomposed-matrix
-counts, the top-of-desk run's wall time, peak RSS and digest, and the
+counts, the two fresh-interpreter runs' wall times, peak RSS and digests, and the
 environment each side reported (BLAS threads, nproc, git SHA, a digest of
 its ``src/matword``).
 
@@ -80,24 +82,44 @@ print(json.dumps({"exit_codes": codes, "by_size": {str(n): c for n, c in sorted(
 """
 
 
-# One verify trial at the top of desk scale, run through the checkout's own CLI
-# in a child interpreter that prints its exit code, its own peak RSS (Linux
-# reports ru_maxrss in KiB) and the sha256 of the JSON report.
+# Fresh-interpreter runs of the checkout's own CLI: a child that runs one
+# command, then prints its exit code, its own peak RSS (Linux reports
+# ru_maxrss in KiB) and the sha256 of each named output file, without its
+# '#' comment lines.  The runs are one verify trial at the top of desk scale
+# (n = 128, dilated to 256) and one scan at acceptance criterion 8's size.
 TOP_OF_DESK = ["verify", "aulpac", "--kind", "sphere", "--m", "2", "--n", "128", "--delta", "0.02",
                "--trials", "1", "--seed", "7"]
-TOP_OF_DESK_CHILD = r"""
+CRITERION_8_SCAN = ["scan", "--eps", "0.2", "--grid", "cheb:101x101",
+                    "--bounds", "-1.5,1.5,-1.5,1.5"]
+FRESH_CHILD = r"""
 import contextlib, hashlib, io, json, resource, sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(sys.argv[1]) / "src"))
 import matword.cli
 
-report = Path(sys.argv[2])
+outputs = json.loads(sys.argv[2])
 with contextlib.redirect_stdout(io.StringIO()):
-    code = matword.cli.dispatch([*sys.argv[3:], "--report", str(report)])
-print(json.dumps({"exit_code": code,
-                  "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest()}))
+    code = matword.cli.dispatch(sys.argv[3:])
+# read before the digests, which hold whole output files in memory
+maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+digests = {name: hashlib.sha256(b"".join(
+    line for line in Path(path).read_bytes().splitlines(True) if not line.startswith(b"#")
+)).hexdigest() for name, path in outputs.items()}
+print(json.dumps({"exit_code": code, "maxrss_mib": maxrss_mib, "sha256": digests}))
+"""
+# Criterion 8's input: the seed-880000 Ginibre matrix at n = 50, saved by the
+# checkout's own writer.
+CRITERION_8_INPUT = r"""
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+import numpy as np
+from matword import io
+
+rng = np.random.default_rng(880_000)
+n = 50
+io.save_matrices(sys.argv[2], [(rng.standard_normal((n, n))
+                                + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)])
 """
 
 
@@ -123,16 +145,30 @@ def decomposed(root: Path, workload: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def fresh_run(root: Path, argv: list[str], files: list[str], outputs: dict) -> dict:
+    """``argv`` plus its file arguments ``files``, run in a fresh child."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CHILD, str(root), json.dumps(outputs), *argv, *files],
+        capture_output=True, text=True, check=True,
+    )
+    wall = time.perf_counter() - start
+    return {"argv": argv, "wall_s": wall, **json.loads(proc.stdout.splitlines()[-1])}
+
+
 def top_of_desk(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", TOP_OF_DESK_CHILD, str(root), str(Path(tmp, "report.json")),
-             *TOP_OF_DESK],
-            capture_output=True, text=True, check=True,
-        )
-        wall = time.perf_counter() - start
-    return {"argv": TOP_OF_DESK, "wall_s": wall, **json.loads(proc.stdout.splitlines()[-1])}
+        report = str(Path(tmp, "report.json"))
+        return fresh_run(root, TOP_OF_DESK, ["--report", report], {"report": report})
+
+
+def criterion_8_scan(root: Path) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        a, field, triples = (str(Path(tmp, f)) for f in ("a.json", "field.csv", "triples.json"))
+        subprocess.run([sys.executable, "-c", CRITERION_8_INPUT, str(root), a], check=True)
+        return fresh_run(root, CRITERION_8_SCAN,
+                         ["--input", a, "--out", field, "--triples", triples],
+                         {"triples": triples, "field_body": field})
 
 
 def tier1(root: Path) -> dict:
@@ -191,6 +227,7 @@ def main(argv=None) -> int:
         result["sides"][side] = {"src_sha256": src_digest(root),
                                  "git_sha": env["git_sha"], "blas_threads": env["blas_threads"],
                                  "nproc": env["nproc"], "top_of_desk": top_of_desk(root),
+                                 "criterion_8_scan": criterion_8_scan(root),
                                  "tier1": tier1(root)}
     for w in args.workloads:
         entry = {m: compare_pairs([r[m] for r in runs[w]["parent"]],

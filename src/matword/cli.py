@@ -168,11 +168,7 @@ def _cmd_deform(args) -> int:
     if args.report:
         io.write_json_report(args.report, result.to_json_dict())
     if args.paths:
-        from .paths import export_records
-
-        io.write_json_report(
-            args.paths, {"paths": [export_records(p) for p in result.paths]}
-        )
+        io.write_paths_json(args.paths, result.paths)
     ok = result.passed and (args.eps is None or result.achieved_eps <= args.eps)
     print(
         f"achieved_eps {result.achieved_eps:.6e}, commutation {result.max_commutation:.3e}, "

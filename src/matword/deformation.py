@@ -415,6 +415,12 @@ def connect_soft_algebraic(
     """
     polys = _normalize_polys(polys, x.arity)
     _check_endpoint_residuals(polys, x, y, delta * (1.0 + 1e-9), f" exceeds delta {delta:.3e}")
+    return _soft_connect(x, y, polys, delta, eps)
+
+
+def _soft_connect(x, y, polys, delta: float, eps) -> DeformationResult:
+    """connect_soft_algebraic for normalized polys and endpoint residuals
+    already known to be at most delta."""
     gap = min_root_gap(polys)
     if delta > gap / 6.0:
         raise DeformationError(
@@ -626,8 +632,10 @@ def verify_ulpac(
         resid = max(
             poly_residual(p, mat) for tup in (x, y) for p, mat in zip(polys, tup)
         )
+        # delta_soft bounds every endpoint residual, so the public
+        # function's recheck of them could never fire
         delta_soft = max(resid * 1.01, 2.0 * spec.eps_alg + spec.delta + 1e-9)
-        return connect_soft_algebraic(x, y, polys, delta_soft, eps_pass)
+        return _soft_connect(x, y, polys, delta_soft, eps_pass)
 
     return _run_trials(
         "ulpac", spec, trials, eps_pass, spec.n,

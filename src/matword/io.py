@@ -5,18 +5,28 @@ pairs.  Loaders validate dimensions and finiteness and recompute all
 tolerances rather than trusting stored ones.  Report files carry no
 timestamps in their bodies, so identical inputs reproduce identical bytes;
 CSV files may carry a leading '#' comment line which parsers skip.
+
+Every JSON file is written by ``_write_json``, with the bytes of
+``json.dumps(doc, sort_keys=True)``.  The large documents (the scan triples,
+the matrix container and the sampled paths) hand it their lists as
+iterators, and it writes those one item at a time, so no writer holds a
+whole document in memory.  Everything that is not streamed is encoded before
+the file is opened, and a stream that fails while writing removes the file,
+so a document that cannot be encoded leaves no file behind.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import NormalTuple, as_square
+from .linalg import NormalTuple, as_square, frozen
 from .minpoly import PolyC
-from .pseudospectra import Grid2D, ScalarField2D, ScanTriple
+from .pseudospectra import Grid2D, QuadCell, ScalarField2D, ScanTriple, _validate_bounds
 
 MATRIX_FORMAT = "matword-matrix-v1"
 POLY_FORMAT = "matword-poly-v1"
@@ -55,8 +65,53 @@ def _from_pairs(pairs, count: int, what: str) -> np.ndarray:
     return out
 
 
+def _lazy(node) -> bool:
+    return isinstance(node, Iterator) or (
+        isinstance(node, dict) and any(_lazy(v) for v in node.values()))
+
+
+def _json_parts(node) -> list:
+    """``node``'s JSON text as strings, with each iterator left in place of its list."""
+    if isinstance(node, Iterator):
+        return [node]
+    if not _lazy(node):
+        return [json.dumps(node, sort_keys=True)]
+    parts = ["{"]
+    for i, key in enumerate(sorted(node)):
+        parts.append(f"{', ' if i else ''}{json.dumps(key)}: ")
+        parts += _json_parts(node[key])
+    parts.append("}")
+    return parts
+
+
+def _json_text(parts):
+    """The strings of ``parts``, each iterator written as a JSON list one item at a time."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+            continue
+        yield "["
+        sep = ""
+        # no enumerate: its cached result tuple would keep the last item alive
+        for item in part:
+            item = _json_parts(item)  # frees the item before the next one is built
+            yield sep
+            yield from _json_text(item)
+            sep = ", "
+        yield "]"
+
+
 def _write_json(path, doc):
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    """``json.dumps(doc, sort_keys=True)`` into ``path``, where an iterator, at
+    the top or as a dict value, stands for a list and is written item by item."""
+    parts = _json_parts(doc)
+    with open(path, "w", encoding="utf-8") as f:
+        try:
+            f.writelines(_json_text(parts))
+        except BaseException:
+            f.close()
+            Path(path).unlink()
+            raise
 
 
 def _write_lines(path, lines: list[str], header: str | None):
@@ -80,9 +135,7 @@ def save_matrices(path, matrices, names=None, meta: dict | None = None):
     doc = {
         "format": MATRIX_FORMAT,
         "dim": dim,
-        "matrices": [
-            {"name": nm, "entries": _pairs(m)} for nm, m in zip(names, matrices)
-        ],
+        "matrices": ({"name": nm, "entries": _pairs(m)} for nm, m in zip(names, matrices)),
     }
     if meta:
         doc["meta"] = meta
@@ -236,20 +289,36 @@ def write_field_json(path, field: ScalarField2D):
     _write_json(path, field_json_dict(field))
 
 
-def load_grid_json(path) -> Grid2D:
-    from .pseudospectra import QuadCell
-    from .linalg import frozen
+def _finite_number(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
 
+
+def _quad_cells(cells, path) -> tuple:
+    """Cells as parsed, once each is 4 finite coordinates and an integer depth >= 0."""
+    out = []
+    for i, c in enumerate(cells):
+        if not (isinstance(c, list) and len(c) == 5 and all(_finite_number(v) for v in c)
+                and c[4] >= 0 and c[4] == int(c[4])):
+            raise FileFormatError(
+                f"{path}: cell {i} is not [x0, x1, y0, y1, depth] with finite numbers "
+                f"and an integer depth >= 0: {c!r}")
+        out.append(QuadCell(c[0], c[1], c[2], c[3], int(c[4])))
+    return tuple(out)
+
+
+def load_grid_json(path) -> Grid2D:
     doc = _load_json(path)
     g = _require(doc["grid"] if "grid" in doc else doc, path, "nodes", "bounds", "kind")
     nodes = _value(g, path, "nodes", lambda v: _from_pairs(v, len(v), f"{path}: nodes"))
     return Grid2D(
-        bounds=_value(g, path, "bounds", lambda b: tuple(float(v) for v in b)),
+        bounds=_value(g, path, "bounds", _validate_bounds),
         nodes=frozen(nodes),
         kind=g["kind"],
         shape=_value(g, path, "shape", lambda sh: tuple(int(v) for v in sh), default=None),
-        cells=_value(g, path, "cells", lambda cs: tuple(
-            QuadCell(c[0], c[1], c[2], c[3], int(c[4])) for c in cs), default=None),
+        cells=_value(g, path, "cells", lambda cs: _quad_cells(cs, path), default=None),
         cell_order=_value(g, path, "cell_order", int, default=3),
     )
 
@@ -258,8 +327,8 @@ def write_grid_json(path, grid: Grid2D):
     _write_json(path, {"grid": _grid_dict(grid)})
 
 
-def triples_json_dict(triples: list[ScanTriple]) -> list[dict]:
-    return [
+def write_triples_json(path, triples: list[ScanTriple]):
+    _write_json(path, (
         {
             "sigma": [t.sigma.real, t.sigma.imag],
             "residual": t.residual,
@@ -268,11 +337,15 @@ def triples_json_dict(triples: list[ScanTriple]) -> list[dict]:
             "rank": t.v.shape[1],
         }
         for t in triples
-    ]
+    ))
 
 
-def write_triples_json(path, triples: list[ScanTriple]):
-    _write_json(path, triples_json_dict(triples))
+def write_paths_json(path, paths):
+    """Sampled paths as {"paths": [[{"matrix": [[re, im], ...], "t": t}, ...], ...]}."""
+    _write_json(path, {"paths": (
+        ({"matrix": _pairs(s), "t": float(t)} for t, s in zip(p.times, p.samples))
+        for p in paths
+    )})
 
 
 def write_contours_csv(path, contours, header: str | None = None):

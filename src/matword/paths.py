@@ -308,11 +308,3 @@ def spectrum_drift(p: MatrixPath) -> float:
         rows, cols = linear_sum_assignment(cost)
         worst = max(worst, float(cost[rows, cols].max()))
     return worst
-
-
-def export_records(p: MatrixPath) -> list[dict]:
-    """JSON-friendly stream of (t, matrix) records."""
-    return [
-        {"t": float(t), "matrix": [[float(v.real), float(v.imag)] for v in m.ravel()]}
-        for t, m in zip(p.times, p.samples)
-    ]

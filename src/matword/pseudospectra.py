@@ -91,8 +91,8 @@ class ScanTriple:
 
 def _validate_bounds(bounds: Bounds) -> Bounds:
     x0, x1, y0, y1 = (float(b) for b in bounds)
-    if not (x1 > x0 and y1 > y0):
-        raise GridError(f"degenerate rectangle {bounds}")
+    if not (x1 > x0 and y1 > y0 and np.isfinite([x0, x1, y0, y1]).all()):
+        raise GridError(f"degenerate or unbounded rectangle {bounds}")
     return (x0, x1, y0, y1)
 
 

@@ -360,7 +360,7 @@ class TestTrialRecords:
         assert r.recovery_residual is None
 
     @pytest.mark.parametrize("verify,pipeline,spec", [
-        (verify_ulpac, "connect_soft_algebraic",
+        (verify_ulpac, "_soft_connect",
          InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3)),
         (verify_aulpac, "connect_commuting", InstanceSpec("cube", 2, 8, 0.02, 81)),
     ])
@@ -409,7 +409,7 @@ def test_normality_is_gated(monkeypatch):
 # live weak references, with no garbage collection and no memory figures.
 LIFETIME_RUNS = [
     (verify_aulpac, "connect_commuting", InstanceSpec("sphere", 2, 8, 0.02, 7)),
-    (verify_ulpac, "connect_soft_algebraic",
+    (verify_ulpac, "_soft_connect",
      InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3)),
 ]
 
@@ -449,3 +449,18 @@ def test_no_curved_half_is_alive_while_paths_are_checked(monkeypatch, verify, pi
     verify(spec, 2, eps_pass=0.2)
     assert len(halves) == 2 * spec.m
     assert alive_at_assembly == [0, 0]
+
+
+def test_ulpac_computes_each_endpoint_residual_once(monkeypatch):
+    # verify_ulpac sizes delta from the endpoint residuals, so the soft
+    # pipeline it calls must not compute them a second time
+    real, calls = deformation.poly_residual, []
+
+    def counting(p, a):
+        calls.append(a.shape)
+        return real(p, a)
+
+    monkeypatch.setattr(deformation, "poly_residual", counting)
+    spec = InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3)
+    assert verify_ulpac(spec, 3, eps_pass=0.2).all_passed
+    assert len(calls) == 3 * 2 * spec.m

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from matword import config, io
 from matword.cli import dispatch
 from matword.linalg import NormalTuple
 from matword.minpoly import PolyC
+from matword.pseudospectra import ScanTriple
 from matword.sampling import commuting_hermitian_tuple, random_hermitian
 from matword.words import commutator_system
 
@@ -554,3 +556,216 @@ class TestStructurallyWrongJson:
              "--out", str(tmp_path / "r.json")],
             str(g), repr(key),
         )
+
+    @pytest.mark.parametrize("cell", [
+        ["a", 1, 0, 1, 0], [0, 1, 0], [0, 1, 0, 1, -1], [0, 1, 0, 1, 1.5],
+        [0, 1, 0, 1, True], [0, None, 0, 1, 0], [0, 1e400, 0, 1, 0], [0, 10**400, 0, 1, 0],
+        {"x0": 0},
+    ])
+    def test_grid_file_with_malformed_cell(self, tmp_path, capsys, cell):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        g = tmp_path / "g.json"
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--bounds", "-1,1,-1,1",
+                         "--out", str(g)]) == 0
+        doc = json.loads(g.read_text())
+        doc["grid"]["cells"][2] = cell
+        g.write_text(json.dumps(doc))
+        self._assert_format_error(
+            capsys,
+            ["grid", "refine", "--grid-file", str(g), "--input", str(a),
+             "--out", str(tmp_path / "r.json")],
+            str(g), "cell 2",
+        )
+
+    @pytest.mark.parametrize("bounds", [
+        [-1, 1, -1, float("nan")], [-1, float("inf"), -1, 1], [1, -1, -1, 1], [-1, 1, -1],
+    ])
+    def test_grid_file_with_bad_bounds(self, tmp_path, capsys, bounds):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        g = tmp_path / "g.json"
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--bounds", "-1,1,-1,1",
+                         "--out", str(g)]) == 0
+        doc = json.loads(g.read_text())
+        doc["grid"]["bounds"] = bounds
+        g.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        self._assert_format_error(
+            capsys,
+            ["grid", "refine", "--grid-file", str(g), "--input", str(a), "--out", str(out)],
+            str(g), "'bounds'",
+        )
+        assert not out.exists()
+
+    def test_grid_cells_pass_through_as_parsed(self, tmp_path):
+        from matword.pseudospectra import QuadCell
+
+        g = tmp_path / "g.json"
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--bounds", "-1,1,-1,1",
+                         "--out", str(g)]) == 0
+        doc = json.loads(g.read_text())
+        doc["grid"]["cells"][0] = [-1, 0, -1, 0, 1.0]
+        g.write_text(json.dumps(doc))
+        cell = io.load_grid_json(g).cells[0]
+        assert cell == QuadCell(-1, 0, -1, 0, 1)
+        assert [type(v) for v in (cell.x0, cell.x1, cell.y0, cell.y1, cell.depth)] == [int] * 5
+
+
+# -- streamed writers ----------------------------------------------------------
+# The oracles build each document as one tree and encode it with
+# json.dumps(tree, sort_keys=True), the way the writers did before they
+# streamed; entries are formed one by one, independently of io._pairs.
+
+def tree_pairs(m) -> list:
+    return [[float(v.real), float(v.imag)] for v in np.asarray(m).ravel()]
+
+
+def triples_tree(triples) -> list:
+    return [{"sigma": [t.sigma.real, t.sigma.imag], "residual": t.residual,
+             "u": tree_pairs(t.u), "v": tree_pairs(t.v), "rank": t.v.shape[1]}
+            for t in triples]
+
+
+def matrices_tree(mats, names, meta) -> dict:
+    doc = {"format": io.MATRIX_FORMAT, "dim": mats[0].shape[0],
+           "matrices": [{"name": nm, "entries": tree_pairs(m)} for nm, m in zip(names, mats)]}
+    if meta:
+        doc["meta"] = meta
+    return doc
+
+
+def paths_tree(paths) -> dict:
+    return {"paths": [[{"t": float(t), "matrix": tree_pairs(s)} for t, s in zip(p.times, p.samples)]
+                      for p in paths]}
+
+
+def tree_bytes(tree) -> bytes:
+    return json.dumps(tree, sort_keys=True).encode("utf-8")
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of Python and numpy allocations while ``fn`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def random_triples(rng, count, n, rank):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return [ScanTriple(complex(*rng.standard_normal(2)), cplx(rank, n), cplx(n, rank),
+                       float(rng.uniform())) for _ in range(count)]
+
+
+def pairs_to_matrix(pairs, n) -> np.ndarray:
+    arr = np.array(pairs, dtype=float)
+    return (arr[:, 0] + 1j * arr[:, 1]).reshape(-1, n)
+
+
+class TestStreamedWriters:
+    def test_triples_bytes_match_the_tree(self, tmp_path, rng):
+        triples = random_triples(rng, 5, 6, 2)
+        # signed zeros in sigma, in the blocks and as the residual
+        triples.append(ScanTriple(complex(-0.0, 0.0), np.array([[complex(-0.0, 0.0)]]),
+                                  np.array([[complex(0.0, -0.0)]]), -0.0))
+        for case in ([], triples):
+            path = tmp_path / "t.json"
+            io.write_triples_json(path, case)
+            assert path.read_bytes() == tree_bytes(triples_tree(case))
+        back = json.loads(path.read_text())
+        for t, rec in zip(triples, back):
+            assert complex(*rec["sigma"]) == t.sigma and rec["rank"] == t.v.shape[1]
+            assert np.array_equal(pairs_to_matrix(rec["u"], t.u.shape[1]), t.u)
+            assert np.array_equal(pairs_to_matrix(rec["v"], t.v.shape[1]), t.v)
+        assert np.signbit(back[-1]["u"][0][0]) and np.signbit(back[-1]["residual"])
+
+    @pytest.mark.parametrize("meta", [None, {"seed": 7, "kind": "cube"}])
+    @pytest.mark.parametrize("names", [None, ['quote " and \\ backslash', "ñandú ∑ 行列"]])
+    def test_matrix_container_bytes_match_the_tree(self, tmp_path, rng, meta, names):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a[0, 0], a[1, 2] = complex(-0.0, -0.0), complex(0.0, -0.0)
+        mats = [a, np.conj(a)]
+        path = tmp_path / "m.json"
+        io.save_matrices(path, mats, names=names, meta=meta)
+        expect = matrices_tree(mats, names or ["m0", "m1"], meta)
+        assert path.read_bytes() == tree_bytes(expect)
+        back = io.load_matrices(path)
+        assert all(np.array_equal(b, m) for b, m in zip(back, mats))
+        assert np.signbit(back[0][0, 0].real) and np.signbit(back[0][1, 2].imag)
+        assert json.loads(path.read_text()).get("meta") == meta
+
+    def test_one_by_one_matrix_bytes_match_the_tree(self, tmp_path):
+        path = tmp_path / "m.json"
+        io.save_matrices(path, np.array([[-0.0]]))
+        assert path.read_bytes() == tree_bytes(matrices_tree([np.array([[-0.0]])], ["m0"], None))
+        (back,) = io.load_matrices(path)
+        assert back.shape == (1, 1) and np.signbit(back[0, 0].real)
+
+    def test_path_dump_bytes_match_the_tree(self, tmp_path, rng):
+        from matword.paths import flat_path
+
+        paths = [flat_path(random_hermitian(rng, 3), random_hermitian(rng, 3), 5),
+                 flat_path(np.array([[-0.0]]), np.array([[1.0j]]), 3)]
+        path = tmp_path / "p.json"
+        io.write_paths_json(path, paths)
+        assert path.read_bytes() == tree_bytes(paths_tree(paths))
+        back = json.loads(path.read_text())["paths"]
+        for p, recs in zip(paths, back):
+            assert [r["t"] for r in recs] == list(p.times)
+            assert all(np.array_equal(pairs_to_matrix(r["matrix"], p.dim), s)
+                       for r, s in zip(recs, p.samples))
+
+    def test_deform_paths_dump_matches_the_tree(self, tmp_path):
+        from matword.deformation import InstanceSpec, connect_commuting, generate_instance
+
+        spec = InstanceSpec("cube", 2, 6, 0.02, 7)
+        x, y = generate_instance(spec)
+        xp, yp, out = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "p.json"
+        io.save_matrices(xp, x)
+        io.save_matrices(yp, y)
+        assert dispatch(["deform", "gujc", "--x", str(xp), "--y", str(yp),
+                         "--paths", str(out)]) == 0
+        want = connect_commuting(io.load_tuple(xp), io.load_tuple(yp)).paths
+        assert out.read_bytes() == tree_bytes(paths_tree(want))
+
+    def test_failing_stream_leaves_no_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(TypeError):
+            io.write_json_report(path, {"a": 1, "b": (v for v in (1.0, object()))})
+        assert not path.exists()
+
+    def test_unencodable_document_is_refused_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            io.write_json_report(path, {"a": object(), "b": (v for v in (1.0,))})
+        assert path.read_text() == "old"
+
+    def test_triples_writer_holds_one_triple_at_a_time(self, tmp_path, rng):
+        triples = random_triples(rng, 300, 50, 4)
+        peak = traced_peak_mib(lambda: io.write_triples_json(tmp_path / "t.json", triples))
+        # the whole tree and its text take about 25 MiB
+        assert peak <= 1.0
+
+    def test_matrix_writer_holds_one_matrix_at_a_time(self, tmp_path, rng):
+        mats = [rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+                for _ in range(3)]
+        peak = traced_peak_mib(lambda: io.save_matrices(tmp_path / "m.json", mats))
+        # one matrix's pairs and text take about 9 MiB, all three about 25 MiB
+        assert peak <= 10.0
+
+    def test_path_dump_holds_one_sample_at_a_time(self, tmp_path, rng):
+        from matword.paths import flat_path
+
+        paths = [flat_path(random_hermitian(rng, 32), random_hermitian(rng, 32)) for _ in range(2)]
+        tree = traced_peak_mib(
+            lambda: (tmp_path / "tree.json").write_bytes(tree_bytes(paths_tree(paths))))
+        streamed = traced_peak_mib(lambda: io.write_paths_json(tmp_path / "p.json", paths))
+        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "tree.json").read_bytes()
+        assert streamed < tree / 4

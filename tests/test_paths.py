@@ -17,7 +17,6 @@ from matword.paths import (
     TargetDistanceConstraint,
     concat,
     curved_path,
-    export_records,
     flat_functional_path,
     flat_path,
     path_length,
@@ -276,16 +275,6 @@ class TestVerifyPath:
             ],
         )
         assert report.passed
-
-
-def test_export_records_round_trip(rng):
-    x, y = random_hermitian(rng, 2), random_hermitian(rng, 2)
-    p = flat_path(x, y, 3)
-    recs = export_records(p)
-    assert [r["t"] for r in recs] == [0.0, 0.5, 1.0]
-    mid = np.array(recs[1]["matrix"])
-    mid = (mid[:, 0] + 1j * mid[:, 1]).reshape(2, 2)
-    assert operator_norm(mid - (x + y) / 2) < 1e-14
 
 
 def test_curved_path_matches_phase_exp(rng):

@@ -37,6 +37,10 @@ class TestChebyshevGrid:
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(GridError):
             chebyshev_grid((0, 0, -1, 1), 3, 3)
+        # an unbounded or NaN side would put non-finite nodes in the grid
+        for bounds in ((0, np.inf, -1, 1), (0, 1, np.nan, 1)):
+            with pytest.raises(GridError):
+                chebyshev_grid(bounds, 3, 3)
 
     def test_nodes_within_bounds(self):
         g = chebyshev_grid((0, 2, -3, -1), 7, 5)
