@@ -21,14 +21,11 @@ from .deformation import (
     connect_soft_algebraic,
     generate_instance,
     min_root_gap,
-    refinement_order,
     verify_aulpac,
     verify_ulpac,
 )
 from .linalg import (
     NormalTuple,
-    SpectralDecomposition,
-    adjoint_action,
     cartesian_decomposition,
     commutator,
     joint_diagonalize,
@@ -36,17 +33,13 @@ from .linalg import (
     phase_exp,
     polar_decomposition,
     principal_unitary_log,
-    spectral_decomposition,
 )
 from .approximants import (
     IsospectralApproximant,
-    ProjectionFamily,
     dilate,
     double_embed,
     joint_isospectral_approximant,
     nearby_commuting_unitary,
-    nearby_generator,
-    refine_projections,
     upper_left_block,
 )
 from .minpoly import PolyC, approx_min_poly, lemniscate_contours, lemniscate_field, ritz_values
@@ -54,7 +47,6 @@ from .paths import (
     MatrixPath,
     concat,
     curved_path,
-    flat_functional_path,
     flat_path,
     path_length,
     verify_path,

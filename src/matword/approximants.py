@@ -1,9 +1,8 @@
 """Constructive approximation lemmas at matrix scale.
 
-Projection refinement, the nearby commuting unitary with its explicit
-constant 3r(r-1)/s, joint isospectral approximants built from minimal-cost
-eigenvalue matching, nearby generators with fully split spectra, and the
-block compression / doubling / dilation toolkit.
+The nearby commuting unitary with its explicit constant 3r(r-1)/s, joint
+isospectral approximants built from minimal-cost eigenvalue matching, and
+the block compression / doubling / dilation toolkit.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .linalg import (
     NormalTuple,
     as_square,
     cluster_eigenbasis,
-    commutator,
     default_tol,
     frozen,
     joint_diagonalize,
@@ -32,68 +30,15 @@ class ApproximantError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProjectionFamily:
-    """Pairwise orthogonal hermitian projections summing to the identity."""
-
-    projections: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_projections(cls, projs, tol: float | None = None) -> "ProjectionFamily":
-        projs = tuple(frozen(as_square(p)) for p in projs)
-        if not projs:
-            raise ApproximantError("empty projection family")
-        n = projs[0].shape[0]
-        tol = default_tol(n) if tol is None else tol
-        ortho = 0.0
-        for i, p in enumerate(projs):
-            if operator_norm(p - p.conj().T) > tol or operator_norm(p @ p - p) > tol:
-                raise ApproximantError(f"member {i} is not a hermitian projection")
-            for q in projs[i + 1 :]:
-                ortho = max(ortho, operator_norm(p @ q))
-        complete = operator_norm(sum(projs) - np.eye(n))
-        if ortho > tol:
-            raise ApproximantError(f"family not pairwise orthogonal: {ortho:.3e}")
-        if complete > tol:
-            raise ApproximantError(f"family does not resolve the identity: {complete:.3e}")
-        return cls(projs)
-
-    def __len__(self):
-        return len(self.projections)
-
-
-def refine_projections(p: ProjectionFamily, q: ProjectionFamily) -> ProjectionFamily:
-    """Common refinement of two families that commute within default_tol(n).
-
-    Its members, the nonzero products P_j Q_k, span both inputs; |P| * |Q| at most.
-    """
-    tol = default_tol(p.projections[0].shape[0])
-    for pj in p.projections:
-        for qk in q.projections:
-            c = operator_norm(commutator(pj, qk))
-            if c > tol:
-                raise ApproximantError(f"families do not commute: residual {c:.3e}")
-    out = []
-    for pj in p.projections:
-        for qk in q.projections:
-            r = pj @ qk
-            if operator_norm(r) > 0.5:
-                out.append((r + r.conj().T) / 2.0)
-    return ProjectionFamily.from_projections(out, tol=10 * tol)
-
-
-@dataclass(frozen=True)
 class CommutingUnitaryResult:
     """Unitary commuting with D, with the explicit proof constant.
 
     ``constant`` is 3r(r-1)/s for r spectral clusters at minimum gap s, and
     ||1 - W Z|| <= constant * ||W D W* - D|| holds for the input unitary W.
-    Blocks whose compression vanished got an identity completion; their
-    indices are recorded.
     """
 
     z: np.ndarray
     constant: float
-    completed_blocks: tuple[int, ...]
 
 
 def nearby_commuting_unitary(
@@ -118,7 +63,7 @@ def nearby_commuting_unitary(
     r = len(values)
     if r == 1:
         # Everything commutes with an (almost) scalar matrix.
-        return CommutingUnitaryResult(frozen(w.conj().T), 0.0, ())
+        return CommutingUnitaryResult(frozen(w.conj().T), 0.0)
 
     s = min(
         abs(values[i] - values[j]) for i in range(r) for j in range(i + 1, r)
@@ -127,18 +72,17 @@ def nearby_commuting_unitary(
         raise ApproximantError(f"spectral gap {s:.3e} below min_gap {min_gap:.3e}")
 
     v = np.zeros((n, n), dtype=complex)
-    completed = []
-    for idx, basis in enumerate(bases):
+    for basis in bases:
         block = basis.conj().T @ w @ basis
         if operator_norm(block) <= 1e-12:
+            # the compression vanished: complete the block by the identity
             vb = np.eye(block.shape[0], dtype=complex)
-            completed.append(idx)
         else:
             vb, _ = polar_decomposition(block)
         v += basis @ vb @ basis.conj().T
 
     z = v.conj().T
-    return CommutingUnitaryResult(frozen(z), 3.0 * r * (r - 1) / s, tuple(completed))
+    return CommutingUnitaryResult(frozen(z), 3.0 * r * (r - 1) / s)
 
 
 @dataclass(frozen=True)
@@ -225,50 +169,6 @@ def joint_isospectral_approximant(
     return IsospectralApproximant(
         frozen(w), frozen(perm), (frozen(uy), tuple(frozen(d) for d in dy)),
     )
-
-
-def _lattice_candidates(step: float, count: int):
-    yield 0.0
-    for k in range(1, count + 1):
-        yield k * step
-        yield -k * step
-
-
-def nearby_generator(x: NormalTuple, j: int, delta: float) -> np.ndarray:
-    """Normal matrix with n distinct eigenvalues, within delta of X_j.
-
-    The tuple must commute within default_tol(n).  The result commutes with
-    every member of the tuple, so all of them are functions of it.
-    Eigenvalues are placed deterministically on a lattice of pitch
-    0.9 * delta / (2n) inside the delta-disk around each eigenvalue of X_j.
-    """
-    n = x.dim
-    if not 0 <= j < x.arity:
-        raise ApproximantError(f"index {j} out of range for arity {x.arity}")
-    if x.commutator_bound > default_tol(n):
-        raise ApproximantError("tuple is not commuting within tolerance")
-    step = 0.9 * delta / (2 * n)
-    if step <= 1e-13 * max(1.0, operator_norm(x[j])):
-        raise ApproximantError(
-            f"delta {delta:.3e} too small to separate {n} eigenvalues"
-        )
-    u, diags = joint_diagonalize(x, tol=max(x.commutator_bound, 1e-12))
-    base = diags[j]
-
-    order = sorted(range(n), key=lambda i: (base[i].real, base[i].imag, i))
-    chosen = np.empty(n, dtype=complex)
-    placed: list[complex] = []
-    for i in order:
-        for off in _lattice_candidates(step, 2 * n):
-            cand = base[i] + off
-            if all(abs(cand - prev) >= step * (1.0 - 1e-9) for prev in placed):
-                chosen[i] = cand
-                placed.append(cand)
-                break
-        else:
-            raise ApproximantError("could not place distinct eigenvalues inside the disk")
-
-    return (u * chosen) @ u.conj().T
 
 
 def upper_left_block(m) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def _cmd_scan(args) -> int:
     result = pseudospectrum(a, args.eps, grid)
     triples = scan_triples(a, args.eps, grid.nodes[result.mask])
     io.write_field_csv(args.out, result.field, result.mask, header=f"scan {_stamp()}")
-    triples_path = args.triples or (args.out.rsplit(".", 1)[0] + ".triples.json")
+    triples_path = args.triples or Path(args.out).with_suffix(".triples.json")
     io.write_triples_json(triples_path, triples)
     if not result.mask.any():
         print("pseudospectral region empty at this eps", file=sys.stderr)
@@ -217,8 +218,7 @@ def _cmd_words(args) -> int:
     # evaluate: the identity word function unless one is supplied inline
     if args.function:
         system = io.load_ncpoly(args.function)
-        comps = tuple(tuple((a, w) for a, w in poly) for poly in system.polys)
-        f = WordFunction(len(x), comps)
+        f = WordFunction(system.nvars, system.polys)
     else:
         f = WordFunction.identity(len(x))
     values = eval_word_function(f, x)

@@ -2,11 +2,11 @@
 
 The shared construction conjugates a commuting tuple along a curved path
 generated by the principal log of Z = What* W, where W is the isospectral
-approximant's unitary and What is the nearest unitary commuting with the
-image of a nearby generator.  The curved endpoint lands inside the target's
-joint-diagonal algebra, so the closing flat segment keeps everything
-commuting.  Algebraic variants project spectra onto polynomial zero sets
-before and after the curved middle.
+approximant's unitary and What is the nearest unitary commuting with a
+generator of the target's joint-cluster algebra.  The curved endpoint lands
+inside the target's joint-diagonal algebra, so the closing flat segment
+keeps everything commuting.  Algebraic variants project spectra onto
+polynomial zero sets before and after the curved middle.
 """
 
 from __future__ import annotations
@@ -124,14 +124,6 @@ def min_root_gap(polys) -> float:
                 if d > 1e-12:
                     gap = min(gap, d)
     return gap
-
-
-def refinement_order(polys) -> int:
-    """Projection count bound 1 + prod_j max(1, deg p_j) for the refinement."""
-    out = 1
-    for p in polys:
-        out *= max(1, p.degree)
-    return 1 + out
 
 
 def generate_instance(spec: InstanceSpec) -> tuple[NormalTuple, NormalTuple]:

@@ -397,8 +397,12 @@ def load_ncpoly(path):
     if doc.get("format") != NCPOLY_FORMAT:
         raise FileFormatError(f"{path}: unrecognized format {doc.get('format')!r}")
 
-    def term(alpha, w):
-        _require(w, f"{path}: word", "coeff_indices", "var_indices", "exponents")
+    def term(k, alpha, w):
+        if not (isinstance(alpha, list) and len(alpha) == 2):
+            raise FileFormatError(f"{path}: polynomial {k}: coefficient {alpha!r} "
+                                  "is not an [re, im] pair")
+        _require(w, f"{path}: polynomial {k}: word", "coeff_indices", "var_indices",
+                 "exponents")
         return (
             complex(alpha[0], alpha[1]),
             WordSpec(
@@ -411,5 +415,5 @@ def load_ncpoly(path):
     nvars = _value(doc, path, "nvars", int)
     eps = _value(doc, path, "eps", float)
     polys = _value(doc, path, "polys", lambda ps: tuple(
-        tuple(term(alpha, w) for alpha, w in poly) for poly in ps))
+        tuple(term(k, alpha, w) for alpha, w in poly) for k, poly in enumerate(ps)))
     return NCPolySystem(nvars, polys, eps)

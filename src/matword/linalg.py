@@ -157,19 +157,6 @@ def unitarity_defect(w) -> float:
     return operator_norm(w @ w.conj().T - np.eye(w.shape[0]))
 
 
-def adjoint_action(w, x) -> np.ndarray:
-    """Conjugation W X W*; requires W unitary within default_tol(n)."""
-    w = as_square(w)
-    x = as_square(x)
-    if w.shape != x.shape:
-        raise LinalgError(f"dimension mismatch: {w.shape} vs {x.shape}")
-    tol = default_tol(w.shape[0])
-    defect = unitarity_defect(w)
-    if defect > tol:
-        raise LinalgError(f"matrix is not unitary: defect {defect:.3e} > tol {tol:.3e}")
-    return w @ x @ w.conj().T
-
-
 def cartesian_decomposition(a) -> tuple[np.ndarray, np.ndarray]:
     """Split A = H + iK with H, K hermitian."""
     a = as_square(a)
@@ -269,31 +256,6 @@ def cluster_eigenbasis(a, cluster_tol: float) -> tuple[list[complex], list[np.nd
     return reps, bases
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Clustered eigenvalues with orthogonal spectral projections."""
-
-    values: tuple[complex, ...]
-    projections: tuple[np.ndarray, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projections[0])
-        for lam, p in zip(self.values, self.projections):
-            out = out + lam * p
-        return out
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(int(round(np.trace(p).real)) for p in self.projections)
-
-
-def spectral_decomposition(a, cluster_tol: float) -> SpectralDecomposition:
-    """Clustered spectral decomposition of a matrix normal within default_tol(n)."""
-    values, bases = cluster_eigenbasis(a, cluster_tol)
-    projections = tuple(frozen(b @ b.conj().T) for b in bases)
-    return SpectralDecomposition(tuple(values), projections)
-
-
 def max_commutator(pairs) -> float:
     """Largest commutator norm over (A, B) pairs, in order; 0 when there are none."""
     return max((operator_norm(commutator(a, b)) for a, b in pairs), default=0.0)
@@ -324,9 +286,6 @@ class NormalTuple:
     @property
     def arity(self) -> int:
         return len(self.matrices)
-
-    def normality_defect(self) -> float:
-        return max(normality_defect(m) for m in self.matrices)
 
     def __iter__(self):
         return iter(self.matrices)

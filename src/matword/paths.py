@@ -16,7 +16,7 @@ maximum, so the reported maxima are the per-sample SVD's to the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -129,29 +129,6 @@ def flat_path(x, y, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
     samples = np.empty((n_samples, *x.shape), dtype=complex)
     for i, t in enumerate(times):
         samples[i] = (1.0 - t) * x + t * y
-    samples.flags.writeable = False
-    return MatrixPath(times, samples)
-
-
-def flat_functional_path(f: Callable[[np.ndarray], np.ndarray], h2, h3) -> MatrixPath:
-    """Spectral path t -> f(t*H3 + (1-t)*H2) for hermitian contractions.
-
-    ``f`` receives the eigenvalue vector; spectra must stay inside [-1, 1]
-    up to 1e-8.
-    """
-    h2 = hermitian_part(as_square(h2))
-    h3 = hermitian_part(as_square(h3))
-    if h2.shape != h3.shape:
-        raise PathError("endpoint dimensions disagree")
-    times = _timegrid(DEFAULT_SAMPLES)
-    samples = np.empty((DEFAULT_SAMPLES, *h2.shape), dtype=complex)
-    for i, t in enumerate(times):
-        w, q = np.linalg.eigh((1.0 - t) * h2 + t * h3)
-        if w.min() < -1.0 - 1e-8 or w.max() > 1.0 + 1e-8:
-            raise PathError(
-                f"interpolant spectrum [{w.min():.3f}, {w.max():.3f}] leaves [-1, 1] at t={t:.3f}"
-            )
-        samples[i] = (q * np.asarray(f(w), dtype=complex)) @ q.conj().T
     samples.flags.writeable = False
     return MatrixPath(times, samples)
 

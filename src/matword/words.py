@@ -37,14 +37,6 @@ class WordSpec:
         if any(k < 0 for k in self.exponents):
             raise WordError("exponents must be non-negative")
 
-    @property
-    def length(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return max(self.exponents)
-
 
 def _check_indices(word: WordSpec, n_coeffs: int, n_vars: int):
     if any(not 0 <= i < n_coeffs for i in word.coeff_indices):

@@ -5,14 +5,11 @@ import pytest
 
 from matword.approximants import (
     ApproximantError,
-    ProjectionFamily,
     conjugation_tuple_map,
     dilate,
     double_embed,
     joint_isospectral_approximant,
     nearby_commuting_unitary,
-    nearby_generator,
-    refine_projections,
     upper_left_block,
 )
 from matword.linalg import (
@@ -28,73 +25,6 @@ from matword.sampling import (
     haar_unitary,
     unitary_near_identity,
 )
-
-
-def diag_projection(n, idx):
-    p = np.zeros((n, n))
-    for i in idx:
-        p[i, i] = 1.0
-    return p
-
-
-class TestProjectionFamily:
-    def test_refine_against_identity(self):
-        p = ProjectionFamily.from_projections(
-            [diag_projection(4, [0, 1]), diag_projection(4, [2, 3])]
-        )
-        q = ProjectionFamily.from_projections([np.eye(4)])
-        r = refine_projections(p, q)
-        assert len(r) == 2
-        for a, b in zip(r.projections, p.projections):
-            assert operator_norm(a - b) < 1e-12
-
-    def test_refine_with_itself(self):
-        p = ProjectionFamily.from_projections(
-            [diag_projection(4, [0, 1]), diag_projection(4, [2, 3])]
-        )
-        r = refine_projections(p, p)
-        assert len(r) == 2
-
-    def test_crossing_splits_to_rank_one(self):
-        p = ProjectionFamily.from_projections(
-            [diag_projection(4, [0, 1]), diag_projection(4, [2, 3])]
-        )
-        q = ProjectionFamily.from_projections(
-            [diag_projection(4, [0, 2]), diag_projection(4, [1, 3])]
-        )
-        r = refine_projections(p, q)
-        assert len(r) == 4
-        assert all(int(round(np.trace(m).real)) == 1 for m in r.projections)
-        # output spans the inputs
-        for target in (*p.projections, *q.projections):
-            best = sum(m for m in r.projections if np.trace(m @ target).real > 0.5)
-            assert operator_norm(best - target) < 1e-10
-
-    def test_size_bound(self, rng):
-        u = haar_unitary(rng, 6)
-        def conj(p):
-            return u @ p @ u.conj().T
-        p = ProjectionFamily.from_projections(
-            [conj(diag_projection(6, [0, 1, 2])), conj(diag_projection(6, [3, 4, 5]))]
-        )
-        q = ProjectionFamily.from_projections(
-            [conj(diag_projection(6, [0, 3])), conj(diag_projection(6, [1, 2, 4, 5]))]
-        )
-        r = refine_projections(p, q)
-        assert len(r) <= len(p) * len(q)
-
-    def test_non_commuting_rejected(self):
-        p = ProjectionFamily.from_projections(
-            [diag_projection(2, [0]), diag_projection(2, [1])]
-        )
-        h = np.array([[0.5, 0.5], [0.5, 0.5]])
-        q = ProjectionFamily.from_projections([h, np.eye(2) - h])
-        with pytest.raises(ApproximantError):
-            refine_projections(p, q)
-
-    def test_incomplete_family_rejected(self):
-        with pytest.raises(ApproximantError):
-            ProjectionFamily.from_projections([diag_projection(3, [0])])
 
 
 def random_block_unitary(rng, bases):
@@ -149,11 +79,13 @@ class TestNearbyCommutingUnitary:
                                      cluster_tol=1e-14, min_gap=1e-6)
 
     def test_zero_block_completion(self):
-        # W swaps the two eigenspaces of D, so both compressed blocks vanish
+        # W swaps the two eigenspaces of D, so both compressed blocks vanish:
+        # the second exactly, the first up to 1e-13 i, whose polar factor is i
         d = np.diag([1.0, -1.0]).astype(complex)
-        w = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        w = np.array([[1e-13j, 1.0], [1.0, 0.0]], dtype=complex)
         res = nearby_commuting_unitary(w, d)
-        assert res.completed_blocks == (0, 1)
+        # both blocks are completed by the identity, so Z is the identity
+        assert operator_norm(res.z - np.eye(2)) < 1e-12
         assert operator_norm(commutator(res.z, d)) < 1e-12
 
     def test_scalar_d_short_circuits(self, rng):
@@ -240,49 +172,6 @@ class TestJointIsospectralApproximant:
         psi = joint_isospectral_approximant(x, y, 0.2)
         inv = psi.inverse()
         assert operator_norm(inv.apply(psi.apply(x[0])) - x[0]) < 1e-12
-
-
-class TestNearbyGenerator:
-    def test_distinct_spectrum_left_alone(self):
-        x = NormalTuple.from_matrices([np.diag([0.0, 0.5, 1.0])])
-        xhat = nearby_generator(x, 0, delta=0.1)
-        assert operator_norm(xhat - x[0]) < 1e-12
-
-    def test_zero_matrix_splits(self):
-        x = NormalTuple.from_matrices([np.zeros((3, 3))])
-        xhat = nearby_generator(x, 0, delta=0.1)
-        eigs = np.linalg.eigvals(xhat)
-        assert np.max(np.abs(eigs)) <= 0.1 + 1e-12
-        gaps = [abs(a - b) for i, a in enumerate(eigs) for b in eigs[i + 1:]]
-        assert min(gaps) > 0.0
-
-    def test_generates_the_tuple_by_interpolation(self, rng):
-        # two commuting matrices sharing an eigenspace: a nearby generator
-        # splits it and Lagrange interpolation recovers each member
-        q = haar_unitary(rng, 4)
-        d1 = np.array([0.5, 0.5, -0.3, 0.1])
-        d2 = np.array([0.2, -0.4, 0.7, 0.7])
-        x = NormalTuple.from_matrices([(q * d) @ q.conj().T for d in (d1, d2)])
-        xhat = nearby_generator(x, 0, delta=0.4)
-        vals, vecs = np.linalg.eigh((xhat + xhat.conj().T) / 2)
-        assert len(np.unique(np.round(vals, 10))) == 4
-        for target in x:
-            targ_diag = np.real(np.diag(vecs.conj().T @ target @ vecs))
-            coeffs = np.polyfit(vals, targ_diag, 3)
-            rebuilt = (vecs * np.polyval(coeffs, vals)) @ vecs.conj().T
-            assert operator_norm(rebuilt - target) <= 1e-8
-
-    def test_commutes_with_members(self, rng):
-        x = NormalTuple.from_matrices(commuting_hermitian_tuple(rng, 3, 6))
-        xhat = nearby_generator(x, 1, delta=0.05)
-        for m in x:
-            assert operator_norm(commutator(xhat, m)) <= 1e-8 * 6
-        assert operator_norm(xhat - x[1]) <= 0.05 + 1e-12
-
-    def test_delta_too_small(self):
-        x = NormalTuple.from_matrices([np.zeros((4, 4))])
-        with pytest.raises(ApproximantError):
-            nearby_generator(x, 0, delta=1e-14)
 
 
 class TestCompressionAndDilation:

@@ -14,7 +14,6 @@ from matword.deformation import (
     connect_soft_algebraic,
     generate_instance,
     min_root_gap,
-    refinement_order,
     verify_aulpac,
     verify_ulpac,
 )
@@ -177,11 +176,6 @@ class TestConnectAlgebraic:
         assert res.max_poly_residual <= 1e-9
         assert res.max_commutation <= 1e-7 * x.dim
         assert res.endpoint_residual <= 1e-8 * x.dim
-
-    def test_refinement_order(self):
-        p2 = PolyC((-1.0, 0.0, 1.0))
-        p3 = PolyC((0.0, -1.0, 0.0, 1.0))
-        assert refinement_order((p2, p3)) == 7
 
     def test_min_root_gap(self):
         assert min_root_gap((Z2M1,)) == pytest.approx(2.0)

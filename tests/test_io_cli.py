@@ -11,7 +11,7 @@ from matword.linalg import NormalTuple
 from matword.minpoly import PolyC
 from matword.pseudospectra import ScanTriple
 from matword.sampling import commuting_hermitian_tuple, random_hermitian
-from matword.words import commutator_system
+from matword.words import NCPolySystem, WordSpec, commutator_system
 
 
 def openblas_default_threads() -> int:
@@ -242,6 +242,16 @@ class TestCli:
         assert out.exists()
         assert (tmp_path / "field.triples.json").exists()
 
+    def test_scan_triples_stay_beside_an_output_without_suffix(self, tmp_path):
+        a = tmp_path / "a.json"
+        io.save_matrices(a, np.diag([0.0, 1.0]))
+        (tmp_path / "run.v2").mkdir()
+        out = tmp_path / "run.v2" / "field"
+        assert dispatch(["scan", "--input", str(a), "--eps", "0.5", "--grid", "cheb:5x5",
+                         "--bounds", "-2,2,-2,2", "--out", str(out)]) == 0
+        assert (tmp_path / "run.v2" / "field.triples.json").exists()
+        assert not (tmp_path / "run.triples.json").exists()
+
     def test_minpoly_and_lemniscate(self, tmp_path, rng):
         a = np.diag([0.0, 0.0, 1.0, 1.0])
         inp = tmp_path / "a.json"
@@ -363,6 +373,42 @@ class TestCli:
         assert dispatch(["words", "eval", "--input", str(inp), "--out", str(out)]) == 0
         back = io.load_matrices(out)
         assert all(np.allclose(a, b) for a, b in zip(back, mats))
+
+    @staticmethod
+    def _adjoint_word_file(path, nvars):
+        """A one-component word function of ``nvars`` variables whose word is
+        variable ``nvars``: the adjoint of the first input."""
+        word = WordSpec((0,), (nvars,), (1,))
+        io.save_ncpoly(path, NCPolySystem(nvars, (((1.0 + 0.0j, word),),), 0.0))
+
+    def test_words_eval_function_file(self, tmp_path, rng):
+        x, y = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                for _ in range(2))
+        inp, fn, out = tmp_path / "t.json", tmp_path / "f.json", tmp_path / "vals.json"
+        io.save_matrices(inp, [x, y])
+        self._adjoint_word_file(fn, 2)
+        argv = ["words", "eval", "--input", str(inp), "--function", str(fn), "--out", str(out)]
+        assert dispatch(argv) == 0
+        (value,) = io.load_matrices(out)
+        assert np.array_equal(value, x.conj().T)
+
+    def test_words_eval_function_arity_mismatch(self, tmp_path, rng, capsys):
+        # variable 3 of a 3-variable file is X0*, but of a 2-matrix input Y*
+        inp, fn, out = tmp_path / "t.json", tmp_path / "f.json", tmp_path / "vals.json"
+        io.save_matrices(inp, commuting_hermitian_tuple(rng, 2, 3))
+        self._adjoint_word_file(fn, 3)
+        argv = ["words", "eval", "--input", str(inp), "--function", str(fn), "--out", str(out)]
+        self._assert_usage_error(capsys, argv, "arity mismatch")
+        assert not out.exists()
+
+    def test_malformed_ncpoly_coefficient_is_usage_error(self, tmp_path, rng, capsys):
+        inp, sysf = tmp_path / "t.json", tmp_path / "sys.json"
+        io.save_matrices(inp, commuting_hermitian_tuple(rng, 2, 3))
+        doc = io.ncpoly_json_dict(commutator_system(2, 1e-8))
+        doc["polys"][0][1][0] = [1.0]
+        sysf.write_text(json.dumps(doc))
+        argv = ["words", "membership", "--input", str(inp), "--system", str(sysf)]
+        self._assert_usage_error(capsys, argv, f"{sysf}: polynomial 0: coefficient [1.0]")
 
     def test_threads_flag_accepted(self, tmp_path, restore_threads):
         a = tmp_path / "a.json"

@@ -8,15 +8,14 @@ from matword.linalg import (
     JointDiagonalizationError,
     LinalgError,
     NormalTuple,
-    adjoint_action,
     cartesian_decomposition,
+    cluster_eigenbasis,
     commutator,
     joint_diagonalize,
     operator_norm,
     phase_exp,
     polar_decomposition,
     principal_unitary_log,
-    spectral_decomposition,
     threshold_clusters,
 )
 from matword.sampling import commuting_hermitian_tuple, haar_unitary, random_hermitian
@@ -52,31 +51,6 @@ class TestCommutator:
         rng = np.random.default_rng(seed)
         a, b = random_complex(rng, n), random_complex(rng, n)
         assert np.array_equal(commutator(a, b), -commutator(b, a))
-
-
-class TestAdjointAction:
-    def test_identity_cases(self, rng):
-        x = random_complex(rng, 4)
-        w = haar_unitary(rng, 4)
-        assert np.allclose(adjoint_action(np.eye(4), x), x)
-        assert np.allclose(adjoint_action(w, np.eye(4)), np.eye(4), atol=1e-14)
-
-    def test_swap_conjugation(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(adjoint_action(swap, np.diag([2.0, 5.0])), np.diag([5.0, 2.0]))
-
-    def test_preserves_norm_and_spectrum(self, rng):
-        x = random_complex(rng, 6)
-        w = haar_unitary(rng, 6)
-        y = adjoint_action(w, x)
-        assert operator_norm(y) == pytest.approx(operator_norm(x), rel=1e-10)
-        ex = np.sort_complex(np.linalg.eigvals(x))
-        ey = np.sort_complex(np.linalg.eigvals(y))
-        assert np.allclose(ex, ey, atol=1e-10)
-
-    def test_rejects_non_unitary(self, rng):
-        with pytest.raises(LinalgError):
-            adjoint_action(2.0 * np.eye(3), np.eye(3))
 
 
 class TestCartesianDecomposition:
@@ -147,45 +121,52 @@ class TestThresholdClusters:
                 assert np.array_equal(got, want), (seed, tol)
 
 
+def projections(bases):
+    return [b @ b.conj().T for b in bases]
+
+
 class TestSpectralDecomposition:
+    """cluster_eigenbasis: clustered eigenvalues with orthonormal cluster bases."""
+
     def test_exact_degeneracy(self):
-        sd = spectral_decomposition(np.diag([1.0, 1.0, -1.0]), 0.1)
-        assert sorted(sd.ranks) == [1, 2]
-        assert sorted(v.real for v in sd.values) == pytest.approx([-1.0, 1.0])
+        values, bases = cluster_eigenbasis(np.diag([1.0, 1.0, -1.0]), 0.1)
+        assert sorted(b.shape[1] for b in bases) == [1, 2]
+        assert sorted(v.real for v in values) == pytest.approx([-1.0, 1.0])
 
     def test_below_tolerance_merges(self):
-        sd = spectral_decomposition(np.diag([0.0, 1e-9]), 1e-6)
-        assert len(sd.values) == 1
+        values, bases = cluster_eigenbasis(np.diag([0.0, 1e-9]), 1e-6)
+        assert len(values) == 1 and bases[0].shape == (2, 2)
 
     def test_gaps_exceeding_tolerance_split(self):
-        sd = spectral_decomposition(np.diag([0.0, 0.5, 1.0]), 0.1)
-        assert len(sd.values) == 3
+        values, _ = cluster_eigenbasis(np.diag([0.0, 0.5, 1.0]), 0.1)
+        assert len(values) == 3
 
     def test_resolution_of_identity_and_structure(self, rng):
         n = 12
         u = haar_unitary(rng, n)
         vals = np.repeat([0.0, 0.7, -0.4], 4)
         a = (u * vals) @ u.conj().T
-        sd = spectral_decomposition(a, 0.1)
-        total = sum(sd.projections)
-        assert operator_norm(total - np.eye(n)) <= 1e-10 * n
-        for p in sd.projections:
+        values, bases = cluster_eigenbasis(a, 0.1)
+        projs = projections(bases)
+        assert operator_norm(sum(projs) - np.eye(n)) <= 1e-10 * n
+        for p in projs:
             assert operator_norm(p - p.conj().T) <= 1e-12
             assert operator_norm(p @ p - p) <= 1e-12
-        for i, p in enumerate(sd.projections):
-            for q in sd.projections[i + 1:]:
+        for i, p in enumerate(projs):
+            for q in projs[i + 1:]:
                 assert operator_norm(p @ q) <= 1e-12
-        assert operator_norm(a - sd.reconstruct()) <= 0.1
+        rebuilt = sum(lam * p for lam, p in zip(values, projs))
+        assert operator_norm(a - rebuilt) <= 0.1
 
     def test_straddling_gaps_raise(self):
         # chain 0, .1, .2, .3, .4 links into one cluster whose spread
         # exceeds the threshold
         with pytest.raises(ClusteringError):
-            spectral_decomposition(np.diag([0.0, 0.1, 0.2, 0.3, 0.4]), 0.12)
+            cluster_eigenbasis(np.diag([0.0, 0.1, 0.2, 0.3, 0.4]), 0.12)
 
     def test_rejects_non_normal(self):
         with pytest.raises(LinalgError):
-            spectral_decomposition(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+            cluster_eigenbasis(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
 class TestJointDiagonalize:

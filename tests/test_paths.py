@@ -17,7 +17,6 @@ from matword.paths import (
     TargetDistanceConstraint,
     concat,
     curved_path,
-    flat_functional_path,
     flat_path,
     path_length,
     spectrum_drift,
@@ -91,32 +90,6 @@ class TestFlatPath:
         assert np.array_equal(p.samples, want)
         # one stack plus per-sample temporaries, not a list and its copy
         assert peak < 1.25 * want.nbytes
-
-
-class TestFlatFunctionalPath:
-    def test_constant_endpoints(self, rng):
-        h = random_hermitian(rng, 4, norm=0.8)
-        p = flat_functional_path(lambda w: w, h, h)
-        assert all(operator_norm(s - h) < 1e-12 for s in p.samples)
-
-    def test_identity_function_matches_flat(self, rng):
-        h2 = random_hermitian(rng, 4, norm=0.7)
-        h3 = random_hermitian(rng, 4, norm=0.7)
-        p1 = flat_functional_path(lambda w: w, h2, h3)
-        p2 = flat_path(h2, h3)
-        for a, b in zip(p1.samples, p2.samples):
-            assert operator_norm(a - b) < 1e-12
-
-    def test_square_midpoint(self):
-        h2 = np.zeros((3, 3))
-        h3 = np.eye(3)
-        p = flat_functional_path(lambda w: w**2, h2, h3)
-        assert p.times[32] == 0.5
-        assert operator_norm(p.samples[32] - 0.25 * np.eye(3)) < 1e-13
-
-    def test_spectrum_escape_rejected(self):
-        with pytest.raises(PathError):
-            flat_functional_path(lambda w: w, 3.0 * np.eye(2), np.eye(2))
 
 
 class TestConcat:
@@ -550,7 +523,7 @@ class TestSampleAdoption:
         p = build()
         return p, handed[-1]
 
-    @pytest.mark.parametrize("kind", ["curved", "flat", "flat-functional", "concat"])
+    @pytest.mark.parametrize("kind", ["curved", "flat", "concat"])
     def test_path_functions_hand_over_their_stack(self, monkeypatch, kind):
         rng = np.random.default_rng(7)
         n = 8
@@ -558,7 +531,6 @@ class TestSampleAdoption:
         build = {
             "curved": lambda: curved_path(h, d),
             "flat": lambda: flat_path(h, d),
-            "flat-functional": lambda: flat_functional_path(np.abs, 0.5 * h, 0.5 * d),
             "concat": lambda: concat(flat_path(d, h), flat_path(h, d)),
         }[kind]
         p, handed = self.built(monkeypatch, build)
