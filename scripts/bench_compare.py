@@ -8,17 +8,21 @@ one in-process pass of each workload's commands on seed 0 per side that
 counts, by matrix size, the matrices ``linalg.operator_norm`` decomposes
 (the traced ``linalg.operator_norm.calls`` counts calls, and one call may
 take a whole stack), then one ``matword verify aulpac`` trial at the top of
-desk scale (n = 128, dilated to 256) and one ``matword scan`` at acceptance
-criterion 8's size (the seed-880000 Ginibre matrix at n = 50, a 101x101
-Chebyshev grid, eps 0.2) per side, each in a fresh interpreter that reports
-its own peak RSS and the sha256 of its outputs, then the tier-1 suite once
-per side for its wall time.
+desk scale (n = 128, dilated to 256), one ``matword verify ulpac`` trial at
+the benchmark's seed-0 shape (cube, m = 2, n = 16) and one ``matword scan``
+at acceptance criterion 8's size (the seed-880000 Ginibre matrix at n = 50,
+a 101x101 Chebyshev grid, eps 0.2) per side, each in a fresh interpreter
+that reports its own peak RSS, the sha256 of its outputs and the scipy
+subpackages it loaded, then the tier-1 suite once per side for its wall time.
 The record holds every run, each side's median and quartiles, the change's
 win count, the two parts of ``setup_s`` (the fresh-interpreter import and
 the median input preparation) compared the same way, the decomposed-matrix
-counts, the two fresh-interpreter runs' wall times, peak RSS and digests, and the
-environment each side reported (BLAS threads, nproc, git SHA, a digest of
-its ``src/matword``).
+counts, the three fresh-interpreter runs' wall times, peak RSS, digests and
+scipy subpackages, and the environment each side reported (BLAS threads,
+nproc, git SHA, a digest of its ``src/matword``).  The fresh ULPAC trial
+shows what a command pays for its imports, which ``setup_s`` hides: its
+median of three in-process preparations runs after the first has imported
+everything.
 
 Run:  python scripts/bench_compare.py --parent ../parent --change . \\
           --pairs 10 --out BENCH_topic.json
@@ -84,11 +88,16 @@ print(json.dumps({"exit_codes": codes, "by_size": {str(n): c for n, c in sorted(
 
 # Fresh-interpreter runs of the checkout's own CLI: a child that runs one
 # command, then prints its exit code, its own peak RSS (Linux reports
-# ru_maxrss in KiB) and the sha256 of each named output file, without its
-# '#' comment lines.  The runs are one verify trial at the top of desk scale
-# (n = 128, dilated to 256) and one scan at acceptance criterion 8's size.
+# ru_maxrss in KiB), the sha256 of each named output file, without its
+# '#' comment lines, and the public scipy subpackages in sys.modules.  The
+# runs are one verify trial at the top of desk scale (n = 128, dilated to
+# 256), one verify trial of perfbench's ulpac-cube part at seed 0 and one
+# scan at acceptance criterion 8's size.
 TOP_OF_DESK = ["verify", "aulpac", "--kind", "sphere", "--m", "2", "--n", "128", "--delta", "0.02",
                "--trials", "1", "--seed", "7"]
+BENCH_ULPAC = ["verify", "ulpac", "--kind", "cube", "--m", "2", "--n", "16", "--delta", "0.02",
+               "--trials", "1", "--seed", "7", "--polys", "z^2-1", "--eps-alg", "1e-3",
+               "--eps", "0.2"]
 CRITERION_8_SCAN = ["scan", "--eps", "0.2", "--grid", "cheb:101x101",
                     "--bounds", "-1.5,1.5,-1.5,1.5"]
 FRESH_CHILD = r"""
@@ -106,7 +115,10 @@ maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 digests = {name: hashlib.sha256(b"".join(
     line for line in Path(path).read_bytes().splitlines(True) if not line.startswith(b"#")
 )).hexdigest() for name, path in outputs.items()}
-print(json.dumps({"exit_code": code, "maxrss_mib": maxrss_mib, "sha256": digests}))
+scipy_subpackages = sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                           if m.startswith("scipy.") and not m.split(".")[1].startswith("_")})
+print(json.dumps({"exit_code": code, "maxrss_mib": maxrss_mib, "sha256": digests,
+                  "scipy_subpackages": scipy_subpackages}))
 """
 # Criterion 8's input: the seed-880000 Ginibre matrix at n = 50, saved by the
 # checkout's own writer.
@@ -156,10 +168,10 @@ def fresh_run(root: Path, argv: list[str], files: list[str], outputs: dict) -> d
     return {"argv": argv, "wall_s": wall, **json.loads(proc.stdout.splitlines()[-1])}
 
 
-def top_of_desk(root: Path) -> dict:
+def fresh_verify(root: Path, argv: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         report = str(Path(tmp, "report.json"))
-        return fresh_run(root, TOP_OF_DESK, ["--report", report], {"report": report})
+        return fresh_run(root, argv, ["--report", report], {"report": report})
 
 
 def criterion_8_scan(root: Path) -> dict:
@@ -226,7 +238,9 @@ def main(argv=None) -> int:
         env = runs[args.workloads[0]][side][0]["environment"]
         result["sides"][side] = {"src_sha256": src_digest(root),
                                  "git_sha": env["git_sha"], "blas_threads": env["blas_threads"],
-                                 "nproc": env["nproc"], "top_of_desk": top_of_desk(root),
+                                 "nproc": env["nproc"],
+                                 "top_of_desk": fresh_verify(root, TOP_OF_DESK),
+                                 "bench_ulpac": fresh_verify(root, BENCH_ULPAC),
                                  "criterion_8_scan": criterion_8_scan(root),
                                  "tier1": tier1(root)}
     for w in args.workloads:

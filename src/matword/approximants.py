@@ -7,6 +7,7 @@ the block compression / doubling / dilation toolkit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,74 @@ def matching_cost_matrix(
     return cost + overlap_weight * (1.0 - np.abs(overlap) ** 2)
 
 
+def _min_cost_assignment(cost) -> np.ndarray:
+    """Column assigned to each row by a minimum-cost perfect matching.
+
+    A port of the shortest-augmenting-path solver that
+    scipy.optimize.linear_sum_assignment runs (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016), square case,
+    kept step for step so that ties resolve to the same columns: the free
+    columns are listed in reverse and swap-removed, reduced costs are summed
+    left to right, and a tie on the lowest cost goes to an unassigned column.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ApproximantError(f"assignment cost must be square, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ApproximantError("assignment cost has non-finite entries")
+    n = c.shape[0]
+    rows = c.tolist()
+    u = [0.0] * n
+    v = [0.0] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    path = [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row cur, over the reduced costs
+        remaining = list(range(n - 1, -1, -1))
+        spc = [math.inf] * n
+        visited_rows, visited_cols = [], []
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            visited_rows.append(i)
+            ci, ui = rows[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        # dual update, then augment along the path
+        u[cur] += min_val
+        for i in visited_rows:
+            if i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.intp)
+
+
 def joint_isospectral_approximant(
     x: NormalTuple, y: NormalTuple, delta: float
 ) -> IsospectralApproximant:
@@ -135,11 +204,12 @@ def joint_isospectral_approximant(
     Both tuples must commute within default_tol(n).  Joint eigenvalue
     vectors are matched by minimal-cost assignment where a pair costs the
     maximum coordinatewise modulus difference, plus an eigenvector-overlap
-    tie-break at the scale of the pair distance.  Spectra are preserved
-    exactly (conjugation); Y's joint eigenbasis is recorded.
+    tie-break at the scale of the pair distance.  The assignment is
+    ``_min_cost_assignment``, which picks the columns
+    scipy.optimize.linear_sum_assignment picks without importing it.
+    Spectra are preserved exactly (conjugation); Y's joint eigenbasis is
+    recorded.
     """
-    from scipy.optimize import linear_sum_assignment
-
     if x.arity != y.arity or x.dim != y.dim:
         raise ApproximantError("tuples must share arity and dimension")
     n = x.dim
@@ -160,8 +230,7 @@ def joint_isospectral_approximant(
 
     overlap = ux.conj().T @ uy
     cost = matching_cost_matrix(dx, dy, overlap, overlap_weight=max(delta, 1e-12))
-    rows, cols = linear_sum_assignment(cost)
-    perm = cols[np.argsort(rows)]
+    perm = _min_cost_assignment(cost)
 
     p = np.zeros((n, n))
     p[perm, np.arange(n)] = 1.0

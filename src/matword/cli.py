@@ -8,6 +8,7 @@ seed; only '#' comment lines in CSV files may carry timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -228,7 +229,9 @@ def _cmd_words(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="matword", description=__doc__)
     ap.add_argument("--threads", type=int, default=None,
                     help="BLAS threads (0 = the library's default); falls back to "

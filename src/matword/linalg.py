@@ -193,17 +193,25 @@ def threshold_clusters(points, tol: float) -> np.ndarray:
     ``tol`` in modulus.  Clusters are numbered in order of their lowest
     member.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     p = np.asarray(points, dtype=complex)
     if p.ndim == 1:
         p = p[:, None]
     d = p[:, None, :] - p[None, :, :]
     # hypot matches the scalar abs() bit for bit; np.abs on complex arrays
     # can differ in the last ulp, which moves exact-threshold ties.
-    dist = np.hypot(d.real, d.imag).max(axis=2)
-    _, labels = connected_components(csr_matrix(dist <= tol), directed=False)
+    linked = np.hypot(d.real, d.imag).max(axis=2) <= tol
+    labels = np.full(len(p), -1, dtype=np.int32)
+    k = 0
+    for start in range(len(p)):
+        if labels[start] >= 0:
+            continue
+        # breadth-first walk: each step labels the unlabeled neighbours of the frontier
+        frontier = np.zeros(len(p), dtype=bool)
+        frontier[start] = True
+        while frontier.any():
+            labels[frontier] = k
+            frontier = linked[frontier].any(axis=0) & (labels < 0)
+        k += 1
     return labels
 
 

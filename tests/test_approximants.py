@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from matword import approximants
 from matword.approximants import (
     ApproximantError,
+    _min_cost_assignment,
     conjugation_tuple_map,
     dilate,
     double_embed,
@@ -12,6 +15,8 @@ from matword.approximants import (
     nearby_commuting_unitary,
     upper_left_block,
 )
+from matword.deformation import InstanceSpec, verify_aulpac, verify_ulpac
+from matword.io import parse_poly_literal
 from matword.linalg import (
     LinalgError,
     NormalTuple,
@@ -172,6 +177,65 @@ class TestJointIsospectralApproximant:
         psi = joint_isospectral_approximant(x, y, 0.2)
         inv = psi.inverse()
         assert operator_norm(inv.apply(psi.apply(x[0])) - x[0]) < 1e-12
+
+
+def scipy_columns(cost):
+    """The oracle: scipy's assignment, as the column of each row."""
+    rows, cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, np.arange(len(cost)))
+    return cols
+
+
+class TestMinCostAssignment:
+    """The pure-Python port must pick scipy's columns, ties included."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "zero", "tenths"])
+    def test_matches_scipy_on_seeded_costs(self, kind):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 41))
+            cost = {
+                "uniform": lambda: rng.uniform(-1.0, 1.0, (n, n)),
+                "integer": lambda: rng.integers(0, 4, (n, n)).astype(float),  # many ties
+                "zero": lambda: np.zeros((n, n)),
+                "tenths": lambda: np.round(rng.random((n, n)), 1),
+            }[kind]()
+            got = _min_cost_assignment(cost)
+            assert np.array_equal(got, scipy_columns(cost)), (kind, seed, n)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_matches_scipy_at_desk_scale(self, n):
+        cost = np.random.default_rng(n).random((n, n))
+        assert np.array_equal(_min_cost_assignment(cost), scipy_columns(cost))
+
+    def test_empty_and_single(self):
+        assert _min_cost_assignment(np.zeros((0, 0))).tolist() == []
+        assert _min_cost_assignment([[3.5]]).tolist() == [0]
+
+    def test_matches_scipy_on_the_costs_verify_builds(self, monkeypatch):
+        costs = []
+
+        def recording(cost):
+            costs.append(np.array(cost))
+            return _min_cost_assignment(cost)
+
+        monkeypatch.setattr(approximants, "_min_cost_assignment", recording)
+        verify_ulpac(InstanceSpec("cube", 2, 16, 0.02, seed=7, polys=(parse_poly_literal("z^2-1"),),
+                                  eps_alg=1e-3), 1, eps_pass=0.2)
+        verify_aulpac(InstanceSpec("sphere", 2, 32, 0.02, seed=7), 1)
+        assert {c.shape[0] for c in costs} == {16, 32, 64}
+        for cost in costs:
+            assert np.array_equal(_min_cost_assignment(cost), scipy_columns(cost))
+
+    @pytest.mark.parametrize("cost", [
+        np.zeros((3, 4)), np.zeros(3), np.zeros((2, 2, 2)),
+        np.array([[0.0, np.nan], [1.0, 0.0]]),
+        np.array([[0.0, np.inf], [1.0, 0.0]]),
+        np.array([[0.0, -np.inf], [1.0, 0.0]]),
+    ], ids=["wide", "vector", "stack", "nan", "inf", "minus-inf"])
+    def test_malformed_cost_is_rejected(self, cost):
+        with pytest.raises(ApproximantError):
+            _min_cost_assignment(cost)
 
 
 class TestCompressionAndDilation:

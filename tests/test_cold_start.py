@@ -1,9 +1,12 @@
 """What a fresh interpreter loads, and that deferred scipy imports stay pinned.
 
-``import matword`` loads numpy and the bare scipy package only; the scipy
-submodules load inside the functions that call them.  Each test runs its
-probe in a fresh interpreter, because this test process has long since
-imported everything.
+``import matword`` loads numpy and the bare scipy package only.  The one
+scipy submodule the commands use, ``scipy.linalg`` (for Schur forms), loads
+inside the functions that call it, so ``scan`` never loads it and
+``verify`` and ``deform`` load it alone: the assignment and the cluster
+labels they need are matword's own, not ``scipy.optimize`` or
+``scipy.sparse``.  Each test runs its probe in a fresh interpreter, because
+this test process has long since imported everything.
 """
 
 import os
@@ -30,6 +33,7 @@ from matword import io
 
 work = Path(sys.argv[1])
 io.save_matrices(work / "a.json", np.diag([0.1, 0.2]))
+io.save_matrices(work / "b.json", np.diag([0.11, 0.21]))
 code = matword.cli.dispatch(sys.argv[2:])
 print(code, sorted(m for m in {submodules!r} if m in sys.modules))
 """
@@ -49,10 +53,17 @@ def test_scan_loads_no_scipy_submodule_and_verify_does(tmp_path):
             "--bounds", "-1,1,-1,1", "--out", tmp_path / "f.csv"]
     # the command prints its own summary first; the probe's line comes last
     assert run_probe(probe, tmp_path, *scan).splitlines()[-1] == "0 []"
-    verify = ["verify", "ulpac", "--kind", "cube", "--m", "2", "--n", "4", "--delta", "0.02",
-              "--trials", "1", "--seed", "0", "--polys", "z^2-1", "--eps-alg", "1e-3",
-              "--eps", "0.2", "--report", tmp_path / "v.json"]
-    assert run_probe(probe, tmp_path, *verify).splitlines()[-1] == f"0 {sorted(SUBMODULES)!r}"
+    instance = ["--m", "2", "--n", "4", "--delta", "0.02", "--trials", "1", "--seed", "0"]
+    commands = {
+        "verify ulpac": ["verify", "ulpac", "--kind", "cube", *instance, "--polys", "z^2-1",
+                         "--eps-alg", "1e-3", "--eps", "0.2", "--report", tmp_path / "u.json"],
+        "verify aulpac": ["verify", "aulpac", "--kind", "sphere", *instance,
+                          "--report", tmp_path / "s.json"],
+        "deform gujc": ["deform", "gujc", "--x", tmp_path / "a.json", "--y", tmp_path / "b.json",
+                        "--report", tmp_path / "d.json"],
+    }
+    for name, argv in commands.items():
+        assert run_probe(probe, tmp_path, *argv).splitlines()[-1] == "0 ['scipy.linalg']", name
 
 
 _SCHUR_PROBE = """

@@ -120,6 +120,31 @@ class TestThresholdClusters:
                 got = threshold_clusters(points, tol)
                 assert np.array_equal(got, want), (seed, tol)
 
+    def test_matches_union_find_oracle_up_to_desk_scale(self):
+        for seed in range(12):
+            rng = np.random.default_rng(7000 + seed)
+            n, m = int(rng.integers(13, 257)), int(rng.integers(1, 4))
+            tol = float(rng.choice([0.01, 0.03, 0.1]))
+            pts = (np.round(rng.uniform(-0.5, 0.5, (n, m)), 2)
+                   + 1j * np.round(rng.uniform(-0.5, 0.5, (n, m)), 2))
+            for points in (pts[:, 0], pts):
+                got = threshold_clusters(points, tol)
+                assert np.array_equal(got, union_find_clusters(points, tol)), (seed, tol)
+
+    def test_chain_is_walked_to_its_end(self):
+        # 256 points each linked only to its neighbours: listed in order, the
+        # walk from the first point takes 255 steps (the longest there is);
+        # shuffled, it runs both ways from a point inside the chain
+        for order in (np.arange(256), np.random.default_rng(3).permutation(256)):
+            chain = (0.01 * order) * np.exp(0.25j)
+            assert threshold_clusters(chain, 0.0101).tolist() == [0] * 256
+            assert threshold_clusters(chain, 0.0099).tolist() == list(range(256))
+
+    def test_no_points_give_no_labels(self):
+        for points in (np.zeros(0), np.zeros((0, 2))):
+            labels = threshold_clusters(points, 0.1)
+            assert labels.shape == (0,) and labels.dtype.kind == "i"
+
 
 def projections(bases):
     return [b @ b.conj().T for b in bases]
