@@ -8,21 +8,22 @@ one in-process pass of each workload's commands on seed 0 per side that
 counts, by matrix size, the matrices ``linalg.operator_norm`` decomposes
 (the traced ``linalg.operator_norm.calls`` counts calls, and one call may
 take a whole stack), then one ``matword verify aulpac`` trial at the top of
-desk scale (n = 128, dilated to 256), one ``matword verify ulpac`` trial at
-the benchmark's seed-0 shape (cube, m = 2, n = 16) and one ``matword scan``
-at acceptance criterion 8's size (the seed-880000 Ginibre matrix at n = 50,
+desk scale (n = 128, dilated to 256), one ``matword verify ulpac`` trial and
+one ``matword verify aulpac`` trial at the benchmark's seed-0 shapes (cube,
+m = 2, n = 16; sphere, m = 2, n = 32) and one ``matword scan`` at acceptance
+criterion 8's size (the seed-880000 Ginibre matrix at n = 50,
 a 101x101 Chebyshev grid, eps 0.2) per side, each in a fresh interpreter
 that reports its own peak RSS, the sha256 of its outputs and the scipy
 subpackages it loaded, then the tier-1 suite once per side for its wall time.
 The record holds every run, each side's median and quartiles, the change's
 win count, the two parts of ``setup_s`` (the fresh-interpreter import and
 the median input preparation) compared the same way, the decomposed-matrix
-counts, the three fresh-interpreter runs' wall times, peak RSS, digests and
+counts, the four fresh-interpreter runs' wall times, peak RSS, digests and
 scipy subpackages, and the environment each side reported (BLAS threads,
-nproc, git SHA, a digest of its ``src/matword``).  The fresh ULPAC trial
-shows what a command pays for its imports, which ``setup_s`` hides: its
-median of three in-process preparations runs after the first has imported
-everything.
+nproc, git SHA, a digest of its ``src/matword``).  The fresh ULPAC and AULPAC
+trials show what each workload's verify part pays for its imports, which
+``setup_s`` hides: its median of three in-process preparations runs after
+the first has imported everything.
 
 Run:  python scripts/bench_compare.py --parent ../parent --change . \\
           --pairs 10 --out BENCH_topic.json
@@ -91,13 +92,15 @@ print(json.dumps({"exit_codes": codes, "by_size": {str(n): c for n, c in sorted(
 # ru_maxrss in KiB), the sha256 of each named output file, without its
 # '#' comment lines, and the public scipy subpackages in sys.modules.  The
 # runs are one verify trial at the top of desk scale (n = 128, dilated to
-# 256), one verify trial of perfbench's ulpac-cube part at seed 0 and one
-# scan at acceptance criterion 8's size.
+# 256), one verify trial of each of perfbench's ulpac-cube and aulpac-sphere
+# parts at seed 0 and one scan at acceptance criterion 8's size.
 TOP_OF_DESK = ["verify", "aulpac", "--kind", "sphere", "--m", "2", "--n", "128", "--delta", "0.02",
                "--trials", "1", "--seed", "7"]
 BENCH_ULPAC = ["verify", "ulpac", "--kind", "cube", "--m", "2", "--n", "16", "--delta", "0.02",
                "--trials", "1", "--seed", "7", "--polys", "z^2-1", "--eps-alg", "1e-3",
                "--eps", "0.2"]
+BENCH_AULPAC = ["verify", "aulpac", "--kind", "sphere", "--m", "2", "--n", "32", "--delta", "0.02",
+                "--trials", "1", "--seed", "7"]
 CRITERION_8_SCAN = ["scan", "--eps", "0.2", "--grid", "cheb:101x101",
                     "--bounds", "-1.5,1.5,-1.5,1.5"]
 FRESH_CHILD = r"""
@@ -241,6 +244,7 @@ def main(argv=None) -> int:
                                  "nproc": env["nproc"],
                                  "top_of_desk": fresh_verify(root, TOP_OF_DESK),
                                  "bench_ulpac": fresh_verify(root, BENCH_ULPAC),
+                                 "bench_aulpac": fresh_verify(root, BENCH_AULPAC),
                                  "criterion_8_scan": criterion_8_scan(root),
                                  "tier1": tier1(root)}
     for w in args.workloads:

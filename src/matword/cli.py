@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +43,14 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     pass
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the thresholds: NaN and the infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_bounds(text: str):
@@ -243,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--kind", choices=["cube", "sphere"], default="cube")
     instance.add_argument("--m", type=int, required=True)
     instance.add_argument("--n", type=int, required=True)
-    instance.add_argument("--delta", type=float, required=True)
+    instance.add_argument("--delta", type=_finite_float, required=True)
     instance.add_argument("--seed", type=int, required=True)
     instance.add_argument("--polys", nargs="*", default=None)
-    instance.add_argument("--eps-alg", type=float, default=0.0)
+    instance.add_argument("--eps-alg", type=_finite_float, default=0.0)
 
     p = sub.add_parser("scan", help="pseudospectrum field, mask and scanning triples")
     p.add_argument("--input", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--grid", default="cheb:101x101")
     p.add_argument("--bounds", required=True)
     p.add_argument("--out", required=True)
@@ -259,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minpoly", help="approximate minimal polynomial from Ritz values")
     p.add_argument("--input", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     p.add_argument("--max-deg", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--grid", default="cheb:201x201")
     p.add_argument("--bounds", required=True)
-    p.add_argument("--level", type=float, required=True)
+    p.add_argument("--level", type=_finite_float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--field", default=None)
     p.set_defaults(func=_cmd_lemniscate)
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", default="-1,1,-1,1")
     p.add_argument("--grid-file", default=None, help="existing grid JSON (refine)")
     p.add_argument("--input", default=None, help="matrix file for the field (refine)")
-    p.add_argument("--threshold", type=float, default=1e-2)
+    p.add_argument("--threshold", type=_finite_float, default=1e-2)
     p.add_argument("--max-depth", type=int, default=6)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_grid)
@@ -290,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--polys", nargs="*", default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None, help="endpoint residual bound (soft)")
+    p.add_argument("--eps", type=_finite_float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None,
+                   help="endpoint residual bound (soft)")
     p.add_argument("--report", default=None)
     p.add_argument("--paths", default=None, help="dump sampled paths as (t, matrix) records")
     p.set_defaults(func=_cmd_deform)
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[instance], help="randomized connectivity verification")
     p.add_argument("mode", choices=["ulpac", "aulpac"])
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--function", default=None)
     p.add_argument("--system", default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_words)
 

@@ -1,4 +1,4 @@
-"""Process-wide BLAS thread count.
+"""Process-wide BLAS thread count, and the LAPACK entry points matword calls.
 
 numpy and scipy each bundle their own OpenBLAS, which starts one thread
 per core by default.  At desk scale (n up to a few hundred) the extra
@@ -10,8 +10,9 @@ count it started with (OPENBLAS_NUM_THREADS, else one per core).  A count
 above the usable cores is capped at the core count.  With any other BLAS
 (MKL, a distribution's shared OpenBLAS) nothing is set and
 ``blas_threads()`` returns None.  The libraries are opened here, from the
-wheels' files, before any scipy submodule is imported; the scipy.linalg
-that a command loads later links against the same, already pinned, copy.
+wheels' files, and only here: ``lapack(name)`` hands out a routine of
+scipy's copy, the one scipy.linalg calls, so matword runs the same,
+already pinned, LAPACK without importing any scipy submodule.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _BUNDLED = ((numpy, "64_"), (scipy, ""))
 @dataclass(frozen=True)
 class _OpenBLAS:
     package: str
+    library: ctypes.CDLL
     set_num_threads: Callable[[int], None]
     get_num_threads: Callable[[], int]
     default: int  # thread count when first found
@@ -54,7 +56,7 @@ def _load(package, suffix: str) -> _OpenBLAS | None:
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
-        return _OpenBLAS(package.__name__, setter, getter, getter())
+        return _OpenBLAS(package.__name__, lib, setter, getter, getter())
     return None
 
 
@@ -104,3 +106,17 @@ def blas_threads() -> dict[str, int] | None:
     when neither numpy nor scipy bundles one."""
     libs = _bundled()
     return {lib.package: lib.get_num_threads() for lib in libs} if libs else None
+
+
+def lapack(name: str, argtypes: list):
+    """LAPACK routine ``name`` (say "zgees") of scipy's bundled OpenBLAS, the
+    copy scipy.linalg calls, with 32-bit integers and gfortran's calling
+    convention, declared to take ``argtypes`` and return nothing (a Fortran
+    subroutine); None when scipy bundles no OpenBLAS."""
+    for lib in _bundled():
+        if lib.package == "scipy":
+            routine = getattr(lib.library, f"scipy_{name}_", None)
+            if routine is not None:
+                routine.argtypes, routine.restype = argtypes, None
+            return routine
+    return None

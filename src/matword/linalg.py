@@ -7,10 +7,13 @@ checks allow default_tol(n) = 1e-8 * n or a fixed constant.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from . import config
 
 
 class LinalgError(ValueError):
@@ -220,6 +223,61 @@ def normality_defect(a) -> float:
     return operator_norm(commutator(a, a.conj().T))
 
 
+def _array(dtype, ndim: int):
+    return np.ctypeslib.ndpointer(dtype, ndim, flags="F_CONTIGUOUS")
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+# zgees(jobvs, sort, select, n, a, lda, sdim, w, vs, ldvs, work, lwork, rwork,
+# bwork, info), then gfortran's length of each character argument
+_ZGEES = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_void_p, _INT,
+          _array(np.complex128, 2), _INT, _INT, _array(np.complex128, 1),
+          _array(np.complex128, 2), _INT, _array(np.complex128, 1), _INT,
+          _array(np.float64, 1), _array(np.int32, 1), _INT, ctypes.c_size_t, ctypes.c_size_t]
+
+
+def _schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form of a square matrix: (T, Q) with Q unitary, T upper
+    triangular and a = Q T Q^H.
+
+    Calls LAPACK's zgees in scipy's bundled OpenBLAS step for step as
+    ``scipy.linalg.schur(a, output="complex")`` does, so the arrays are the
+    same bit for bit: a complex Fortran-ordered copy of ``a``, jobvs 'V',
+    sort 'N' with no select function, one workspace query, then the call
+    with the size it returned.  Where scipy bundles no OpenBLAS, this is
+    that scipy call.  A failed QR iteration raises numpy's LinAlgError, as
+    scipy's does.
+    """
+    zgees = config.lapack("zgees", _ZGEES)
+    if zgees is None:
+        import scipy.linalg
+
+        return scipy.linalg.schur(a, output="complex")
+    t = np.array(a, dtype=np.complex128, order="F")  # overwritten with T
+    n = t.shape[0]
+    q = np.empty((n, n), dtype=np.complex128, order="F")
+    w = np.empty(n, dtype=np.complex128)
+    rwork = np.empty(n)
+    bwork = np.empty(n, dtype=np.int32)
+    order, lead = ctypes.c_int(n), ctypes.c_int(max(n, 1))
+    sdim, info = ctypes.c_int(), ctypes.c_int()
+
+    def call(work, lwork: int):
+        zgees(b"V", b"N", None, ctypes.byref(order), t, ctypes.byref(lead), ctypes.byref(sdim),
+              w, q, ctypes.byref(lead), work, ctypes.byref(ctypes.c_int(lwork)), rwork, bwork,
+              ctypes.byref(info), 1, 1)
+
+    query = np.empty(1, dtype=np.complex128)
+    call(query, -1)
+    lwork = int(query[0].real)
+    call(np.empty(lwork, dtype=np.complex128), lwork)
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}-th argument of internal gees")
+    if info.value > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, q
+
+
 def cluster_eigenbasis(a, cluster_tol: float) -> tuple[list[complex], list[np.ndarray]]:
     """Clustered spectrum and orthonormal bases of a matrix normal within default_tol(n).
 
@@ -228,8 +286,6 @@ def cluster_eigenbasis(a, cluster_tol: float) -> tuple[list[complex], list[np.nd
     when members stray farther than ``cluster_tol`` from their representative
     or two representatives come closer than ``cluster_tol``.
     """
-    import scipy.linalg
-
     a = as_square(a)
     tol = default_tol(a.shape[0])
     defect = normality_defect(a)
@@ -237,7 +293,7 @@ def cluster_eigenbasis(a, cluster_tol: float) -> tuple[list[complex], list[np.nd
         raise LinalgError(f"matrix is not normal: defect {defect:.3e} > tol {tol:.3e}")
 
     # Complex Schur of a normal matrix is diagonal with orthonormal vectors.
-    t, q = scipy.linalg.schur(a, output="complex")
+    t, q = _schur(a)
     eigs = np.diag(t)
 
     labels = threshold_clusters(eigs, cluster_tol)
@@ -391,14 +447,12 @@ def principal_unitary_log(z) -> np.ndarray:
 
     Requires Z unitary within default_tol(n), its spectrum farther than 1e-8 from -1.
     """
-    import scipy.linalg
-
     z = as_square(z)
     defect = unitarity_defect(z)
     if defect > default_tol(z.shape[0]):
         raise LinalgError(f"matrix is not unitary: defect {defect:.3e}")
 
-    t, q = scipy.linalg.schur(z, output="complex")
+    t, q = _schur(z)
     eigs = np.diag(t)
     phases = eigs / np.abs(eigs)
     if np.min(np.abs(phases + 1.0)) <= 1e-8:

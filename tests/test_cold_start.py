@@ -1,12 +1,13 @@
-"""What a fresh interpreter loads, and that deferred scipy imports stay pinned.
+"""What a fresh interpreter loads, and that the Schur forms run on the pinned OpenBLAS.
 
-``import matword`` loads numpy and the bare scipy package only.  The one
-scipy submodule the commands use, ``scipy.linalg`` (for Schur forms), loads
-inside the functions that call it, so ``scan`` never loads it and
-``verify`` and ``deform`` load it alone: the assignment and the cluster
-labels they need are matword's own, not ``scipy.optimize`` or
-``scipy.sparse``.  Each test runs its probe in a fresh interpreter, because
-this test process has long since imported everything.
+``import matword`` loads numpy and the bare scipy package only, and no
+command loads a scipy submodule: the Schur forms call LAPACK's zgees in
+scipy's bundled OpenBLAS through the entry point ``matword.config`` hands
+out, and the assignment and the cluster labels are matword's own, so
+``scan``, ``verify`` and ``deform`` load neither ``scipy.linalg`` nor
+``scipy.optimize`` nor ``scipy.sparse``.  Each test runs its probe in a
+fresh interpreter, because this test process has long since imported
+everything.
 """
 
 import os
@@ -47,7 +48,7 @@ def run_probe(code, *args, **env):
     return proc.stdout
 
 
-def test_scan_loads_no_scipy_submodule_and_verify_does(tmp_path):
+def test_no_command_loads_a_scipy_submodule(tmp_path):
     probe = _COMMAND_PROBE.format(submodules=SUBMODULES)
     scan = ["scan", "--input", tmp_path / "a.json", "--eps", "0.5", "--grid", "cheb:5x5",
             "--bounds", "-1,1,-1,1", "--out", tmp_path / "f.csv"]
@@ -63,16 +64,17 @@ def test_scan_loads_no_scipy_submodule_and_verify_does(tmp_path):
                         "--report", tmp_path / "d.json"],
     }
     for name, argv in commands.items():
-        assert run_probe(probe, tmp_path, *argv).splitlines()[-1] == "0 ['scipy.linalg']", name
+        assert run_probe(probe, tmp_path, *argv).splitlines()[-1] == "0 []", name
 
 
 _SCHUR_PROBE = """
+import hashlib
 import sys
 
 import numpy as np
 
 from matword import config, linalg
-from matword.sampling import haar_unitary
+from matword.sampling import haar_unitary, random_hermitian
 
 assert "scipy.linalg" not in sys.modules
 rng = np.random.default_rng(11)
@@ -80,14 +82,17 @@ q = haar_unitary(rng, 100)
 eigs = np.exp(2j * np.pi * np.arange(100) / 100) * (1.0 + 0.1 * rng.random(100))
 a = (q * eigs) @ q.conj().T
 reps, _ = linalg.cluster_eigenbasis(a, 1e-3)
-print(config.blas_threads())
+z = linalg.phase_exp(random_hermitian(rng, 100, norm=0.9))
+h = linalg.principal_unitary_log(z)
+print(config.blas_threads(), "scipy.linalg" in sys.modules)
 print(repr(reps))
+print(hashlib.sha256(h.tobytes()).hexdigest())
 """
 
 
-def test_deferred_schur_runs_on_the_pinned_openblas():
+def test_schur_forms_run_on_the_pinned_openblas():
     if config.blas_threads() is None:
         pytest.skip("numpy and scipy do not bundle OpenBLAS here")
     outputs = [run_probe(_SCHUR_PROBE, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
-    assert outputs[0].splitlines()[0] == "{'numpy': 1, 'scipy': 1}"
+    assert outputs[0].splitlines()[0] == "{'numpy': 1, 'scipy': 1} False"
     assert outputs[0] == outputs[1]

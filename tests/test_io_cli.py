@@ -428,7 +428,7 @@ class TestCli:
 
     def test_thread_count_capped_at_usable_cores(self, monkeypatch):
         counts = []
-        fake = config._OpenBLAS("fake", counts.append, lambda: counts[-1], default=1)
+        fake = config._OpenBLAS("fake", None, counts.append, lambda: counts[-1], default=1)
         monkeypatch.setattr(config, "_libraries", [fake])
         cores = len(os.sched_getaffinity(0))
         config.set_threads(2**40)
@@ -503,6 +503,60 @@ class TestCli:
             capsys, ["grid", "generate", "--grid", "quad:-1", "--out", str(out)], "depth"
         )
         assert not out.exists()
+
+    # every threshold flag, with the rest of a command that would otherwise run;
+    # '--flag=value' so that argparse reads '-inf' as the value
+    _THRESHOLDS = {
+        "scan --eps": ["scan", "--input", "a.json", "--eps={}", "--grid", "cheb:5x5",
+                       "--bounds", "-1,1,-1,1", "--out", "f.csv"],
+        "minpoly --delta": ["minpoly", "--input", "a.json", "--delta={}", "--out", "p.json"],
+        "lemniscate --level": ["lemniscate", "--poly", "z^2-1", "--bounds", "-1,1,-1,1",
+                               "--grid", "cheb:5x5", "--level={}", "--out", "c.csv"],
+        "grid refine --threshold": ["grid", "refine", "--grid-file", "g.json", "--input",
+                                    "a.json", "--threshold={}", "--out", "r.json"],
+        "deform --eps": ["deform", "gujc", "--x", "a.json", "--y", "a.json", "--eps={}",
+                         "--report", "d.json"],
+        "deform --delta": ["deform", "soft", "--x", "a.json", "--y", "a.json",
+                           "--polys", "z^2-1", "--delta={}", "--report", "d.json"],
+        "verify --eps": ["verify", "aulpac", "--m", "2", "--n", "4", "--delta", "0.02",
+                         "--seed", "7", "--trials", "1", "--eps={}", "--report", "v.json"],
+        "verify --delta": ["verify", "aulpac", "--m", "2", "--n", "4", "--delta={}",
+                           "--seed", "7", "--trials", "1", "--report", "v.json"],
+        "verify --eps-alg": ["verify", "ulpac", "--m", "2", "--n", "4", "--delta", "0.02",
+                             "--seed", "7", "--trials", "1", "--polys", "z^2-1",
+                             "--eps-alg={}", "--report", "v.json"],
+        "generate --delta": ["generate", "--m", "2", "--n", "4", "--delta={}", "--seed", "7",
+                             "--out", "x.json", "--out-y", "y.json"],
+        "words --eps": ["words", "membership", "--input", "a.json", "--system", "s.json",
+                        "--eps={}", "--out", "w.json"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("case", sorted(_THRESHOLDS))
+    def test_non_finite_threshold_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                 case, value):
+        monkeypatch.chdir(tmp_path)
+        io.save_matrices("a.json", np.diag([0.1, 0.2]))
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--out", "g.json"]) == 0
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        argv = [arg.replace("{}", value) for arg in self._THRESHOLDS[case]]
+        assert dispatch(argv) == 2
+        message = f"argument {case.split()[-1]}: expected a finite number, got {value!r}"
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("case, value", [("scan --eps", "0"), ("lemniscate --level", "0"),
+                                             ("verify --delta", "-0.01"),
+                                             ("generate --delta", "-0.01")])
+    def test_threshold_positivity_rules_still_apply(self, tmp_path, capsys, monkeypatch,
+                                                    case, value):
+        monkeypatch.chdir(tmp_path)
+        io.save_matrices("a.json", np.diag([0.1, 0.2]))
+        argv = [arg.replace("{}", value) for arg in self._THRESHOLDS[case]]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
 
 class TestStructurallyWrongJson:

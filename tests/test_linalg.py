@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matword import config, linalg
+from matword.deformation import InstanceSpec, verify_aulpac, verify_ulpac
+from matword.io import parse_poly_literal
 from matword.linalg import (
     ClusteringError,
     JointDiagonalizationError,
@@ -269,6 +273,78 @@ class TestPrincipalUnitaryLog:
     def test_spectrum_at_minus_one_rejected(self):
         with pytest.raises(LinalgError):
             principal_unitary_log(np.diag([-1.0, 1.0]))
+
+
+def scipy_schur(a):
+    return scipy.linalg.schur(a, output="complex")
+
+
+def assert_same_arrays(got, want):
+    """Same dtype, shape, memory order and bits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.flags.f_contiguous) == (w.dtype, w.shape, w.flags.f_contiguous)
+        assert g.tobytes() == w.tobytes()
+
+
+class TestSchur:
+    """The direct zgees call must return scipy.linalg.schur's arrays bit for bit."""
+
+    SIZES = [*range(1, 41), 64, 128, 256]
+
+    @staticmethod
+    def _input(kind, rng, n):
+        g = random_complex(rng, n)
+        return {
+            "ginibre": lambda: g / np.sqrt(2 * n),
+            "unitary": lambda: haar_unitary(rng, n),
+            "hermitian": lambda: (g + g.conj().T) / 2,
+            "real": lambda: g.real,
+            "diagonal": lambda: np.diag(g[0]),
+        }[kind]()
+
+    @pytest.mark.parametrize("kind", ["ginibre", "unitary", "hermitian", "real", "diagonal"])
+    def test_matches_scipy_on_seeded_inputs(self, kind):
+        for n in self.SIZES:
+            a = self._input(kind, np.random.default_rng(n), n)
+            assert_same_arrays(linalg._schur(a), scipy_schur(a))
+
+    def test_matches_scipy_on_the_matrices_verify_decomposes(self, monkeypatch):
+        inputs, schur = [], linalg._schur
+
+        def recording(a):
+            inputs.append(np.array(a))
+            return schur(a)
+
+        monkeypatch.setattr(linalg, "_schur", recording)
+        verify_ulpac(InstanceSpec("cube", 2, 16, 0.02, seed=7, polys=(parse_poly_literal("z^2-1"),),
+                                  eps_alg=1e-3), 1, eps_pass=0.2)
+        verify_aulpac(InstanceSpec("sphere", 2, 32, 0.02, seed=7), 1)
+        monkeypatch.undo()
+        assert {a.shape[0] for a in inputs} == {16, 64}
+        for a in inputs:
+            assert_same_arrays(linalg._schur(a), scipy_schur(a))
+
+    def test_fallback_without_a_bundled_openblas_is_scipy(self, monkeypatch):
+        a = self._input("ginibre", np.random.default_rng(5), 12)
+        bundled = linalg._schur(a)
+        monkeypatch.setattr(config, "_libraries", [])
+        assert config.lapack("zgees", linalg._ZGEES) is None
+        assert_same_arrays(linalg._schur(a), bundled)
+        assert_same_arrays(linalg._schur(a), scipy_schur(a))
+
+    def test_failed_iteration_raises_linalg_error(self, monkeypatch):
+        zgees = config.lapack("zgees", linalg._ZGEES)
+        if zgees is None:
+            pytest.skip("scipy does not bundle OpenBLAS here")
+
+        def failing(*args):
+            zgees(*args)
+            args[-3]._obj.value = 2  # info > 0: the QR iteration did not converge
+
+        monkeypatch.setattr(config, "lapack", lambda name, argtypes: failing)
+        with pytest.raises(np.linalg.LinAlgError, match="Schur form not found"):
+            linalg._schur(np.eye(3))
 
 
 class TestPolarDecomposition:
