@@ -52,7 +52,7 @@ from .paths import (
     curved_path,
     flat_path,
     sample_blocks,
-    verify_path,
+    verify_paths,
 )
 from .sampling import haar_unitary, unitary_near_identity
 
@@ -206,6 +206,8 @@ class DeformationResult:
     max_normality: float
     max_poly_residual: float | None
     compressibility: float  # ||W - What|| for the curved generator
+    # the defining relation's residual along the paths, when one was asked for
+    relation_residual: float | None
 
     @property
     def passed(self) -> bool:
@@ -282,12 +284,16 @@ def _assemble_result(
     polys,
     delta: float,
     compressibility: float,
+    relation: str | None,
 ) -> DeformationResult:
+    """The result of a pipeline, from one pass of ``verify_paths`` over its
+    paths that also evaluates the ``relation`` ("cube" or "sphere") residual
+    when one is given."""
     n = x.dim
     comm_bound = 1e-7 * n
     dist_bound = math.inf if eps is None else eps
     endpoint = 0.0
-    reports = []
+    constraints = []
     for j, p in enumerate(paths):
         endpoint = max(endpoint, operator_norm(p.start - x[j]), operator_norm(p.end - y[j]))
         cons = [
@@ -298,7 +304,9 @@ def _assemble_result(
         cons.append(TargetDistanceConstraint(y[j], dist_bound))
         if polys is not None:
             cons.append(PolynomialConstraint(polys[j], dist_bound))
-        reports.append(verify_path(p, cons))
+        constraints.append(cons)
+    stacks = None if relation is None else lambda b, out: _relation_stacks(b, relation, out)
+    reports, worst_relation = verify_paths(paths, constraints, stacks)
 
     comm_vals = [
         e.max_residual
@@ -315,13 +323,14 @@ def _assemble_result(
     return DeformationResult(
         paths=tuple(paths),
         achieved_eps=max(rep.max_residual("distance-to-target") for rep in reports),
-        reports=tuple(reports),
+        reports=reports,
         delta_in=delta,
         endpoint_residual=endpoint,
         max_commutation=max(comm_vals, default=0.0),
         max_normality=max(normality_vals, default=0.0),
         max_poly_residual=max(poly_vals) if poly_vals else None,
         compressibility=compressibility,
+        relation_residual=None if relation is None else _relation_value(worst_relation, relation),
     )
 
 
@@ -333,16 +342,20 @@ def _check_endpoint_residuals(polys, x, y, bound: float, reason: str):
                 raise DeformationError(f"||p_{j}({name}_{j})|| = {r:.3e}{reason}")
 
 
-def _curved_then_flat(x, y, delta, eps, polys) -> DeformationResult:
+def _check_eps(eps):
+    if eps is not None and not eps > 0:
+        raise DeformationError(f"eps must be positive, got {eps!r}")
+
+
+def _curved_then_flat(x, y, delta, eps, polys, relation) -> DeformationResult:
     seg = (DEFAULT_SAMPLES + 1) // 2
     curved, deviation = _curved_connect(x, y, delta, seg)
-    # each curved half is dropped once its member's path holds a copy
     paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
-    return _assemble_result(paths, x, y, eps, polys, delta, deviation)
+    return _assemble_result(paths, x, y, eps, polys, delta, deviation, relation)
 
 
 def connect_commuting(
-    x: NormalTuple, y: NormalTuple, eps: float | None = None
+    x: NormalTuple, y: NormalTuple, eps: float | None = None, *, relation: str | None = None
 ) -> DeformationResult:
     """Curved-then-flat homotopies between nearby commuting normal tuples.
 
@@ -350,8 +363,12 @@ def connect_commuting(
     joint-diagonal algebra, then a flat segment to the target, each half
     sampled at (DEFAULT_SAMPLES + 1) // 2 points.  Pairwise commutation
     holds along the whole path; spectra are preserved on the curved half.
+    A given ``eps`` must be positive.  ``relation`` ("cube" or "sphere")
+    also evaluates that defining relation along the paths, in the same pass
+    over the samples as the constraints (``relation_residual``).
     """
-    return _curved_then_flat(x, y, _pair_distance(x, y), eps, None)
+    _check_eps(eps)
+    return _curved_then_flat(x, y, _pair_distance(x, y), eps, None, relation)
 
 
 def connect_algebraic(
@@ -363,8 +380,10 @@ def connect_algebraic(
     endpoint residuals within default_tol(n); the pair distance may not
     exceed a third of the minimal root gap, which forces the matched
     spectra to coincide and keeps every residual at rounding level along
-    the path.  Paths are sampled as in connect_commuting.
+    the path.  Paths are sampled as in connect_commuting.  A given ``eps``
+    must be positive.
     """
+    _check_eps(eps)
     polys = _normalize_polys(polys, x.arity)
     _check_endpoint_residuals(polys, x, y, default_tol(x.dim), "; spectrum is not in the zero set")
     gap = min_root_gap(polys)
@@ -373,7 +392,7 @@ def connect_algebraic(
         raise DeformationError(
             f"pair distance {delta:.3e} exceeds a third of the root gap {gap:.3e}"
         )
-    return _curved_then_flat(x, y, delta, eps, polys)
+    return _curved_then_flat(x, y, delta, eps, polys, None)
 
 
 def _project_to_roots(
@@ -403,16 +422,18 @@ def connect_soft_algebraic(
     Three segments per member, each sampled at (DEFAULT_SAMPLES + 2) // 3 + 1
     points: a flat projection of the spectrum onto the zero set, the curved
     algebraic connection, and a flat return to the target.  Requires endpoint residuals at most delta, spectra within
-    delta/2 of the zero sets, and delta at most a sixth of the root gap.
+    delta/2 of the zero sets, and delta at most a sixth of the root gap.  A
+    given ``eps`` must be positive.
     """
+    _check_eps(eps)
     polys = _normalize_polys(polys, x.arity)
     _check_endpoint_residuals(polys, x, y, delta * (1.0 + 1e-9), f" exceeds delta {delta:.3e}")
-    return _soft_connect(x, y, polys, delta, eps)
+    return _soft_connect(x, y, polys, delta, eps, None)
 
 
-def _soft_connect(x, y, polys, delta: float, eps) -> DeformationResult:
+def _soft_connect(x, y, polys, delta: float, eps, relation) -> DeformationResult:
     """connect_soft_algebraic for normalized polys and endpoint residuals
-    already known to be at most delta."""
+    already known to be at most delta; ``relation`` as in connect_commuting."""
     gap = min_root_gap(polys)
     if delta > gap / 6.0:
         raise DeformationError(
@@ -431,7 +452,7 @@ def _soft_connect(x, y, polys, delta: float, eps) -> DeformationResult:
         concat(flat_path(x[j], xhat[j], seg), c, flat_path(yhat[j], y[j], seg))
         for j, c in enumerate(curved)
     ]
-    return _assemble_result(paths, x, y, eps, polys, _pair_distance(x, y), deviation)
+    return _assemble_result(paths, x, y, eps, polys, _pair_distance(x, y), deviation, relation)
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +551,38 @@ def _trial_seed(base: int, t: int) -> int:
     return base + 1_000_003 * t
 
 
+def _relation_stacks(blocks, kind: str, out) -> list:
+    """Residual stacks of the defining relation on one block of samples per
+    tuple member; the relation residual comes from their largest norm, by
+    ``_relation_value``.  Cube: the members' own samples.  Sphere:
+    sum_j Z_j^2 - 1, written into ``out`` unless that is None."""
+    if kind == "cube":
+        return [np.concatenate(blocks)]
+    # sum(z @ z for z in blocks) - eye, in place: 0 + Z_0^2 turns -0.0 into 0.0
+    r = np.matmul(blocks[0], blocks[0], out=out)
+    r += 0.0
+    for z in blocks[1:]:
+        r += z @ z
+    r -= np.eye(r.shape[-1])
+    return [r]
+
+
+def _relation_value(worst: float, kind: str) -> float:
+    """Cube: contraction slack max(0, ||Z_j|| - 1).  Sphere: ||sum_j Z_j^2 - 1||."""
+    return max(0.0, worst - 1.0) if kind == "cube" else max(0.0, worst)
+
+
 def _relation_residual(members, kind: str) -> float:
     """Worst defining-relation residual of a tuple, or of tuples sampled along paths.
 
     ``members`` holds one matrix, or one (s, n, n) sample stack, per tuple
-    member; samples are taken a block at a time.  Cube: contraction slack
-    max(0, ||Z_j|| - 1).  Sphere: ||sum_j Z_j^2 - 1||.
+    member; samples are taken a block at a time.
     """
     stacks = [np.asarray(z).reshape(-1, *np.shape(z)[-2:]) for z in members]
     blocks = sample_blocks(len(stacks[0]), stacks[0].shape[-1])
-    if kind == "cube":
-        worst, _ = max_operator_norm(np.concatenate([z[b] for z in stacks]) for b in blocks)
-        return max(0.0, worst - 1.0)
-    eye = np.eye(stacks[0].shape[-1])
-    worst, _ = max_operator_norm(sum(z[b] @ z[b] for z in stacks) - eye for b in blocks)
-    return max(0.0, worst)
+    worst, _ = max_operator_norm(
+        r for b in blocks for r in _relation_stacks([z[b] for z in stacks], kind, None))
+    return _relation_value(worst, kind)
 
 
 # The pipelines' domain refusals.  Any other error (a PathError, a shape bug)
@@ -557,8 +595,9 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
 
     Per trial: ``lift(x, y)`` returns the tuples to connect plus the
     dilation mismatch (None without a lift), ``connect`` runs the pipeline
-    on the lifted tuples, and ``base_relation(y)`` is the target's own
-    relation residual.  A lifted trial must also compress back onto its
+    on the lifted tuples, with the relation of ``spec.kind`` evaluated along
+    its paths, and ``base_relation(y)`` is the target's own relation
+    residual.  A lifted trial must also compress back onto its
     source.  A connection refused with one of _REFUSALS is recorded as a
     failed trial with infinite residuals; any other error is raised.  Fewer
     than one trial raises DeformationError.
@@ -582,9 +621,9 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
                 cross, mismatch, None, False,
             )
         recovery = None if mismatch is None else max(
-            operator_norm(upper_left_block(p.samples[0]) - h) for p, h in zip(res.paths, x)
+            operator_norm(upper_left_block(p.start) - h) for p, h in zip(res.paths, x)
         )
-        relation = _relation_residual([p.samples for p in res.paths], spec.kind)
+        relation = res.relation_residual
         relation_bound = base_relation(y) + 2 * spec.m * res.achieved_eps + 1e-6
         # the path report gates commutation, normality, target distance and
         # polynomial residuals against the bounds _assemble_result set
@@ -613,11 +652,13 @@ def verify_ulpac(
     pipeline, and records endpoint, polynomial, commutation and defining
     relation residuals along every path.  Failed and refused trials are
     recorded, not raised.  The default pass threshold 10*delta + 5*eps_alg
-    was calibrated on seeded runs of this harness.
+    was calibrated on seeded runs of this harness.  The pass threshold, given
+    or by default, must be positive.
     """
     if spec.polys is None:
         raise DeformationError("ULPAC verification needs polynomial constraints")
     eps_pass = 10.0 * spec.delta + 5.0 * spec.eps_alg if eps_pass is None else eps_pass
+    _check_eps(eps_pass)
     polys = _normalize_polys(spec.polys, spec.m)
 
     def connect(x, y):
@@ -627,7 +668,7 @@ def verify_ulpac(
         # delta_soft bounds every endpoint residual, so the public
         # function's recheck of them could never fire
         delta_soft = max(resid * 1.01, 2.0 * spec.eps_alg + spec.delta + 1e-9)
-        return _soft_connect(x, y, polys, delta_soft, eps_pass)
+        return _soft_connect(x, y, polys, delta_soft, eps_pass, spec.kind)
 
     return _run_trials(
         "ulpac", spec, trials, eps_pass, spec.n,
@@ -646,10 +687,12 @@ def verify_aulpac(
     doubling embedding, checks its distances to the doubled endpoints, then
     connects the dilated tuple to the doubled target with the commuting
     pipeline.  Compression of the initial sample must recover the source.
+    The pass threshold, given or by default (10*delta), must be positive.
     """
     if spec.polys is not None:
         raise DeformationError("AULPAC verification runs on unconstrained instances")
     eps_pass = 10.0 * spec.delta if eps_pass is None else eps_pass
+    _check_eps(eps_pass)
 
     def lift(x, y):
         psi = joint_isospectral_approximant(x, y, _pair_distance(x, y))
@@ -665,7 +708,7 @@ def verify_aulpac(
     return _run_trials(
         "aulpac", spec, trials, eps_pass, 2 * spec.n,
         lift=lift,
-        connect=lambda x, y: connect_commuting(x, y, eps=eps_pass),
+        connect=lambda x, y: connect_commuting(x, y, eps=eps_pass, relation=spec.kind),
         # the cube bound carries no base term for the dilated target
         base_relation=lambda y: 0.0 if spec.kind == "cube"
         else _relation_residual([double_embed(k) for k in y], spec.kind),

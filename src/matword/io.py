@@ -10,9 +10,11 @@ Every JSON file is written by ``_write_json``, with the bytes of
 ``json.dumps(doc, sort_keys=True)``.  The large documents (the scan triples,
 the matrix container and the sampled paths) hand it their lists as
 iterators, and it writes those one item at a time, so no writer holds a
-whole document in memory.  Everything that is not streamed is encoded before
-the file is opened, and a stream that fails while writing removes the file,
-so a document that cannot be encoded leaves no file behind.
+whole document in memory.  Matrix entries go in as ``_pairs`` text, formed
+a chunk of entries at a time, so no writer builds their list of pairs.
+Everything that is not streamed is encoded before the file is opened, and a
+stream that fails while writing removes the file, so a document that cannot
+be encoded leaves no file behind.
 """
 
 from __future__ import annotations
@@ -37,9 +39,36 @@ class FileFormatError(ValueError):
     pass
 
 
-def _pairs(values: np.ndarray) -> list[list[float]]:
-    v = values.ravel()
-    return np.stack([v.real, v.imag], -1).tolist()
+class _Text:
+    """JSON text that ``_write_json`` writes as given, one string at a time."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+
+# entries formatted per string of a _pairs text
+_PAIR_CHUNK = 1024
+
+
+def _pairs(values: np.ndarray) -> _Text:
+    """The row-major [re, im] pairs of ``values`` as JSON text: the bytes of
+    ``json.dumps`` of their list, with each float written by ``float.__repr__``
+    as the encoder writes a finite float."""
+
+    def chunks():
+        v = np.asarray(values).ravel()
+        yield "["
+        for i in range(0, len(v), _PAIR_CHUNK):
+            c = v[i : i + _PAIR_CHUNK]
+            if np.isfinite(c).all():
+                text = ", ".join(f"[{re!r}, {im!r}]" for re, im in zip(c.real.tolist(),
+                                                                       c.imag.tolist()))
+            else:  # NaN and the infinities as json.dumps writes them
+                text = json.dumps(np.stack([c.real, c.imag], -1).tolist())[1:-1]
+            yield text if i == 0 else ", " + text
+        yield "]"
+
+    return _Text(chunks())
 
 
 def _from_pairs(pairs, count: int, what: str) -> np.ndarray:
@@ -66,13 +95,14 @@ def _from_pairs(pairs, count: int, what: str) -> np.ndarray:
 
 
 def _lazy(node) -> bool:
-    return isinstance(node, Iterator) or (
+    return isinstance(node, (Iterator, _Text)) or (
         isinstance(node, dict) and any(_lazy(v) for v in node.values()))
 
 
 def _json_parts(node) -> list:
-    """``node``'s JSON text as strings, with each iterator left in place of its list."""
-    if isinstance(node, Iterator):
+    """``node``'s JSON text as strings, with each iterator left in place of its
+    list and each ``_Text`` in place of its text."""
+    if isinstance(node, (Iterator, _Text)):
         return [node]
     if not _lazy(node):
         return [json.dumps(node, sort_keys=True)]
@@ -89,6 +119,9 @@ def _json_text(parts):
     for part in parts:
         if isinstance(part, str):
             yield part
+            continue
+        if isinstance(part, _Text):
+            yield from part.chunks
             continue
         yield "["
         sep = ""
@@ -340,12 +373,18 @@ def write_triples_json(path, triples: list[ScanTriple]):
     ))
 
 
+def _path_records(p):
+    """A path's {"matrix", "t"} records, its samples formed one at a time."""
+    buf = np.empty((1, p.dim, p.dim), dtype=complex)
+    for i, t in enumerate(p.times):
+        # each record is written before the next is drawn, so the buffer is
+        # free again when the next sample is formed
+        yield {"matrix": _pairs(p.form(slice(i, i + 1), buf)), "t": float(t)}
+
+
 def write_paths_json(path, paths):
     """Sampled paths as {"paths": [[{"matrix": [[re, im], ...], "t": t}, ...], ...]}."""
-    _write_json(path, {"paths": (
-        ({"matrix": _pairs(s), "t": float(t)} for t, s in zip(p.times, p.samples))
-        for p in paths
-    )})
+    _write_json(path, {"paths": (_path_records(p) for p in paths)})
 
 
 def write_contours_csv(path, contours, header: str | None = None):

@@ -55,18 +55,19 @@ def operator_norm(a):
 _LADDER_POWERS = (2, 4, 8, 16, 32)
 
 
-def max_operator_norm(blocks) -> tuple[float, int]:
+class MaxOperatorNorm:
     """Largest ``operator_norm`` over the samples of consecutive (s, n, n) stacks,
     and the index of the first sample that attains it.
 
-    Bit for bit, this is ``operator_norm`` of the concatenated stacks followed
-    by ``max`` and ``argmax``, but the SVD runs only on samples that can still
-    be that first maximum.  Each sample A gets upper bounds on its norm,
+    ``add`` takes one stack at a time; ``best`` and ``where`` hold the running
+    maximum and its first index, -inf and 0 before any sample.  Bit for bit,
+    these are ``operator_norm`` of the concatenated stacks followed by ``max``
+    and ``argmax``, but the SVD runs only on samples that can still be that
+    first maximum.  Each sample A gets upper bounds on its norm,
     ||A||_2 <= ||(A*A)^(p/2)||_F^(1/p) for p = 1 (the Frobenius norm) and each
     p of _LADDER_POWERS, where a rung squares the previous one.  A rung runs
     only on the samples whose bound still reaches the running maximum, and the
     first stack decomposes its top sample after the p = 2 rung to start one.
-    ``blocks`` may be a generator; one stack is held at a time.
 
     The bounds hold in floating point.  With u = 2**-53, each sample is first
     scaled exactly by a power of two so that its largest real or imaginary
@@ -82,52 +83,84 @@ def max_operator_norm(blocks) -> tuple[float, int]:
     64 n^3 u on each bound covers both with room to spare.  A sample whose
     parts are all subnormal is always decomposed, and so is one whose
     products overflow, which makes its bound inf or nan.
+
+    The ladder's work arrays are kept in ``scratch`` from one stack to the
+    next, so blocks of one size reuse them instead of faulting in fresh
+    pages; accumulators that never run ``add`` at the same time may share one.
     """
-    best, where, start = -np.inf, 0, 0
-    for r in blocks:
+
+    def __init__(self, scratch: list):
+        self.best, self.where, self._start = -np.inf, 0, 0
+        self._scratch = scratch
+
+    def _work(self, shape) -> tuple[np.ndarray, ...]:
+        """Three complex work stacks of at least ``shape``, reused while they fit."""
+        work = self._scratch
+        if not work or work[0].shape[0] < shape[0] or work[0].shape[1:] != shape[1:]:
+            work[:] = [np.empty(shape, dtype=complex) for _ in range(3)]
+        return tuple(w[: shape[0]] for w in work)
+
+    def add(self, r):
         r = np.asarray(r)
         n = r.shape[-1]
         slack = 1.0 + 64.0 * n**3 * np.finfo(float).eps / 2
         v = np.ascontiguousarray(r, dtype=complex).view(float)
-        _, ex = np.frexp(np.abs(v).max(axis=(1, 2), initial=0.0))
-        a = np.ldexp(v, -ex[:, None, None])
+        work = self._work(r.shape)
+        g = work[0]
+        mag = np.abs(v, out=g.view(float))
+        _, ex = np.frexp(mag.max(axis=(1, 2), initial=0.0))
+        np.ldexp(v, -ex[:, None, None], out=g.view(float))
 
         def bound(x, p, e):
             # ||(A*A)^(p/2)||_F^(1/p) of the scaled samples, back in units of r
             b = np.sqrt(np.einsum("kij,kij->k", x, x)) ** (1.0 / p) * slack
             return np.where(e >= -1021, np.ldexp(b, e), np.inf)
 
-        ub, pos = bound(a, 1, ex), np.arange(len(r))  # pos: samples in play
+        ub, pos = bound(g.view(float), 1, ex), np.arange(len(r))  # pos: samples in play
 
         def in_play():
             # whether a sample can still beat the running maximum, or tie it
             # ahead of the running argmax
-            return ~((ub < best) | ((ub == best) & (start + pos > where)))
+            return ~((ub < self.best) | ((ub == self.best) & (self._start + pos > self.where)))
 
         def decompose(sel):
-            nonlocal best, where
             norms = operator_norm(r[pos[sel]])
             k = int(np.argmax(norms))
-            i = start + int(pos[sel][k])
-            if norms[k] > best or (norms[k] == best and i < where):
-                best, where = float(norms[k]), i
+            i = self._start + int(pos[sel][k])
+            if norms[k] > self.best or (norms[k] == self.best and i < self.where):
+                self.best, self.where = float(norms[k]), i
             ub[sel] = -np.inf
 
-        g = a.view(complex)
+        gi = 0  # the work stack that holds g
         for p in _LADDER_POWERS:
             keep = in_play()
-            ub, pos, ex, g = ub[keep], pos[keep], ex[keep], g[keep]
+            if not keep.all():
+                ub, pos, ex = ub[keep], pos[keep], ex[keep]
+                gi = (gi + 1) % 3
+                g = np.compress(keep, g, axis=0, out=work[gi][: len(pos)])
             if not pos.size:
                 break
-            g = g.conj().transpose(0, 2, 1) @ g if p == 2 else g @ g
+            left = g
+            if p == 2:
+                left = np.conjugate(g, out=work[(gi + 2) % 3][: len(pos)]).transpose(0, 2, 1)
+            gi = (gi + 1) % 3
+            g = np.matmul(left, g, out=work[gi][: len(pos)])
             ub = np.minimum(ub, bound(g.view(float), p, ex))
-            if best == -np.inf:
+            if self.best == -np.inf:
                 decompose([np.argmax(ub)])
         keep = in_play()
         if keep.any():
             decompose(keep)
-        start += len(r)
-    return best, where
+        self._start += len(r)
+
+
+def max_operator_norm(blocks) -> tuple[float, int]:
+    """``MaxOperatorNorm`` over ``blocks``, which may be a generator; one stack
+    is held at a time."""
+    acc = MaxOperatorNorm([])
+    for r in blocks:
+        acc.add(r)
+    return acc.best, acc.where
 
 
 def default_tol(n: int) -> float:

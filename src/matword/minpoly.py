@@ -122,11 +122,14 @@ def approx_min_poly(a, delta: float, max_deg: int, seed: int = 0) -> tuple[PolyC
 
     Fits min(n, max(2 * max_deg, 16)) Ritz values at degrees 1..max_deg;
     when no degree reaches delta, the lowest residual fit found is returned.
+    delta must be positive.
     """
     a = as_square(a)
     n = a.shape[0]
     if max_deg < 1:
         raise LinalgError("max_deg must be >= 1")
+    if not delta > 0:
+        raise LinalgError(f"delta must be positive, got {delta!r}")
     nodes = ritz_values(a, min(n, max(2 * max_deg, 16)), seed)
 
     best: tuple[PolyC, float] | None = None

@@ -1,16 +1,25 @@
 """Sampled matrix paths: curved conjugations, flat interpolations, concatenation.
 
-Paths are sampled maps [0,1] -> M_n stored as (times, samples).  The default
-sample count is 65 so that concatenation junctions land on existing samples.
-``concat`` joins any number of paths into one preallocated read-only stack,
-with the times of the left fold of binary concatenations.
+A path is a map [0,1] -> M_n sampled at strictly increasing times from 0 to
+1.  The default sample count is 65 so that concatenation junctions land on
+existing samples.  A path holds segments, not samples: a stored stack, a
+curved conjugation (the eigh factors of its generator and the conjugated
+matrix) or a flat interpolation (its two endpoints).  ``concat`` joins the
+segments of any number of paths and copies no sample, with the times of the
+left fold of binary concatenations.  Samples are formed on demand, a block
+at a time, each by the per-sample expression of its segment, so a sample
+has the same bits whichever block forms it; ``samples`` forms the whole
+read-only stack on each access and does not keep it.
+
 Verification is report-only: each constraint yields the maximum of its
 residual norm over the samples, the first time it is attained, and a
-pass/fail against the supplied bound.  Residuals are formed a block of
-samples at a time, each block at most SAMPLE_BLOCK samples and
-SAMPLE_BLOCK_BYTES of complex residual, and ``linalg.max_operator_norm``
-runs the SVD only on the samples whose norm bound still reaches the running
-maximum, so the reported maxima are the per-sample SVD's to the bit.
+pass/fail against the supplied bound.  ``verify_paths`` walks a tuple of
+paths once, in blocks of at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
+of complex residual.  It forms each path's block once, into a buffer reused
+from block to block, and feeds every constraint's residual to its own
+``linalg.MaxOperatorNorm``, which runs the SVD only on the samples whose norm
+bound still reaches the running maximum, so the reported maxima are the
+per-sample SVD's to the bit.  Memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -21,11 +30,11 @@ from typing import Union
 import numpy as np
 
 from .linalg import (
+    MaxOperatorNorm,
     as_square,
     default_tol,
     frozen,
     hermitian_part,
-    max_operator_norm,
     operator_norm,
 )
 from .minpoly import PolyC, poly_eval_matrix
@@ -43,7 +52,7 @@ SAMPLE_BLOCK_BYTES = 4 << 20
 def sample_blocks(count: int, n: int) -> list[slice]:
     """Slices that walk ``count`` samples of n x n residuals in bounded blocks."""
     size = max(1, min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (16 * n * n)))
-    return [slice(i, i + size) for i in range(0, count, size)]
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
 class PathError(ValueError):
@@ -55,14 +64,65 @@ def _check_times(t: np.ndarray):
         raise PathError("times must increase strictly from 0 to 1")
 
 
-@dataclass(frozen=True)
-class MatrixPath:
-    times: np.ndarray  # (s,), increasing, t[0] = 0, t[-1] = 1
-    samples: np.ndarray  # (s, n, n)
+class _Stored:
+    """Samples kept as a read-only stack."""
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.samples, dtype=complex)
+    def __init__(self, samples: np.ndarray):
+        self.samples = samples
+
+    def __len__(self):
+        return len(self.samples)
+
+    def form(self, lo: int, hi: int, out: np.ndarray):
+        out[...] = self.samples[lo:hi]
+
+
+class _Curved:
+    """t -> U(t) D U(t)*, U(t) = Q diag(exp(i pi t w)) Q*, for the eigh factors
+    (w, Q) of the generator."""
+
+    def __init__(self, w: np.ndarray, q: np.ndarray, d: np.ndarray, times: np.ndarray):
+        self.w, self.q, self.qh, self.d, self.times = w, q, q.conj().T, d, times
+
+    def __len__(self):
+        return len(self.times)
+
+    def form(self, lo: int, hi: int, out: np.ndarray):
+        t = self.times[lo:hi, None]
+        u = (self.q * np.exp(1j * np.pi * t * self.w)[:, None, :]) @ self.qh
+        ud = u @ self.d
+        np.matmul(ud, np.conjugate(u, out=u).transpose(0, 2, 1), out=out)
+
+
+class _Flat:
+    """t -> (1 - t) X + t Y."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, times: np.ndarray):
+        self.x, self.y, self.times = x, y, times
+
+    def __len__(self):
+        return len(self.times)
+
+    def form(self, lo: int, hi: int, out: np.ndarray):
+        t = self.times[lo:hi, None, None]
+        np.multiply(1.0 - t, self.x, out=out)
+        out += t * self.y
+
+
+class MatrixPath:
+    """A path sampled at ``times``, increasing from t[0] = 0 to t[-1] = 1.
+
+    ``MatrixPath(times, samples)`` keeps an (s, n, n) stack of samples.  A
+    read-only array that owns its data is adopted as is; any other is copied
+    first, so no caller can change the path afterwards.  The path functions
+    below build paths from segments instead, whose samples are formed when
+    read.  Either way a path is a tuple of (segment, first) pieces: its
+    samples are those of each segment from index ``first`` on, in order.
+    """
+
+    def __init__(self, times, samples):
+        t = np.asarray(times, dtype=float)
+        s = np.asarray(samples, dtype=complex)
         if t.ndim != 1 or len(t) < 2:
             raise PathError("a path needs at least two samples")
         if s.shape != (len(t), s.shape[1], s.shape[1]):
@@ -70,35 +130,66 @@ class MatrixPath:
         _check_times(t)
         if not np.isfinite(s).all():
             raise PathError("samples have non-finite entries")
-        object.__setattr__(self, "times", frozen(t))
-        # a read-only array that owns its data (what the path functions below
-        # hand over) is adopted as is: nobody can write to it, and a second copy
-        # of a whole sample stack would raise peak memory for nothing
         if s.flags.writeable or not s.flags.owndata:
             s = frozen(s)
-        object.__setattr__(self, "samples", s)
+        self._times, self._pieces, self._dim = frozen(t), ((_Stored(s), 0),), s.shape[1]
+
+    @classmethod
+    def _of(cls, times, pieces, dim: int) -> "MatrixPath":
+        p = cls.__new__(cls)
+        p._times, p._pieces, p._dim = times, tuple(pieces), dim
+        return p
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._times
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self._dim
 
     @property
     def n_samples(self) -> int:
-        return len(self.times)
+        return len(self._times)
+
+    def form(self, b: slice, out: np.ndarray) -> np.ndarray:
+        """Samples b.start to b.stop - 1, written into ``out`` and returned as
+        its leading part."""
+        lo, hi = b.start, b.stop
+        offset = 0  # index of the piece's first sample in the path
+        for seg, first in self._pieces:
+            count = len(seg) - first
+            a, z = max(lo, offset), min(hi, offset + count)
+            if a < z:
+                seg.form(first + a - offset, first + z - offset, out[a - lo : z - lo])
+            offset += count
+        return out[: hi - lo]
+
+    def _sample(self, i: int) -> np.ndarray:
+        out = np.empty((1, self._dim, self._dim), dtype=complex)
+        return self.form(slice(i, i + 1), out)[0]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole (s, n, n) stack, formed anew and read-only."""
+        out = np.empty((self.n_samples, self._dim, self._dim), dtype=complex)
+        self.form(slice(0, self.n_samples), out)
+        out.flags.writeable = False
+        return out
 
     @property
     def start(self) -> np.ndarray:
-        return self.samples[0]
+        return self._sample(0)
 
     @property
     def end(self) -> np.ndarray:
-        return self.samples[-1]
+        return self._sample(self.n_samples - 1)
 
 
 def _timegrid(n_samples: int) -> np.ndarray:
     if n_samples < 2:
         raise PathError("n_samples must be >= 2")
-    return np.linspace(0.0, 1.0, n_samples)
+    return frozen(np.linspace(0.0, 1.0, n_samples))
 
 
 def curved_path(h, d, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
@@ -111,12 +202,7 @@ def curved_path(h, d, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
         raise PathError("curved path generator must be hermitian")
     w, q = np.linalg.eigh(hermitian_part(h))
     times = _timegrid(n_samples)
-    samples = np.empty((n_samples, *d.shape), dtype=complex)
-    for i, t in enumerate(times):
-        u = (q * np.exp(1j * np.pi * t * w)) @ q.conj().T
-        samples[i] = u @ d @ u.conj().T
-    samples.flags.writeable = False
-    return MatrixPath(times, samples)
+    return MatrixPath._of(times, [(_Curved(w, q, d, times), 0)], d.shape[0])
 
 
 def flat_path(x, y, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
@@ -126,11 +212,7 @@ def flat_path(x, y, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
     if x.shape != y.shape:
         raise PathError("endpoint dimensions disagree")
     times = _timegrid(n_samples)
-    samples = np.empty((n_samples, *x.shape), dtype=complex)
-    for i, t in enumerate(times):
-        samples[i] = (1.0 - t) * x + t * y
-    samples.flags.writeable = False
-    return MatrixPath(times, samples)
+    return MatrixPath._of(times, [(_Flat(x, y, times), 0)], x.shape[0])
 
 
 def concat(p: MatrixPath, q: MatrixPath, *more: MatrixPath) -> MatrixPath:
@@ -140,11 +222,12 @@ def concat(p: MatrixPath, q: MatrixPath, *more: MatrixPath) -> MatrixPath:
     earlier path's final sample.  Further paths fold from the left:
     concat(a, b, c) is concat(concat(a, b), c) bit for bit, with the same
     times, samples, junction checks and errors in the same order, so a runs
-    on [0, 1/4], b on [1/4, 1/2] and c on [1/2, 1].  The samples are written
-    once into a single read-only stack, with no intermediate path.
+    on [0, 1/4], b on [1/4, 1/2] and c on [1/2, 1].  The result joins the
+    parts' segments and copies no sample.
     """
     parts = (p, q, *more)
     times = p.times
+    pieces = list(p._pieces)
     for left, right in zip(parts, parts[1:]):
         if p.dim != right.dim:
             raise PathError("path dimensions disagree")
@@ -154,15 +237,15 @@ def concat(p: MatrixPath, q: MatrixPath, *more: MatrixPath) -> MatrixPath:
             raise PathError(f"junction mismatch {mismatch:.3e} exceeds tolerance {tol:.3e}")
         times = np.concatenate([times / 2.0, 0.5 + right.times[1:] / 2.0])
         _check_times(times)
-    samples = np.concatenate([p.samples, *(right.samples[1:] for right in parts[1:])])
-    samples.flags.writeable = False
-    return MatrixPath(times, samples)
+        (seg, first), *rest = right._pieces
+        pieces += [(seg, first + 1), *rest]
+    return MatrixPath._of(frozen(times), pieces, p.dim)
 
 
 def path_length(p: MatrixPath) -> float:
     """Polygonal length in operator norm (a lower bound of the true length)."""
-    return float(sum(operator_norm(p.samples[i + 1] - p.samples[i])
-                     for i in range(p.n_samples - 1)))
+    s = p.samples
+    return float(sum(operator_norm(s[i + 1] - s[i]) for i in range(p.n_samples - 1)))
 
 
 @dataclass(frozen=True)
@@ -223,65 +306,109 @@ class PathReport:
         return max(vals)
 
 
-def _residual_blocks(p: MatrixPath, c: Constraint):
-    """Residual stacks of one constraint along a path, one block of samples at a time."""
+def _partner(p: MatrixPath, c: Constraint):
+    """The path or the matrix a constraint on ``p`` compares its samples with."""
     if isinstance(c, CommutationConstraint) and isinstance(c.partner, MatrixPath):
-        if c.partner.samples.shape != p.samples.shape or np.any(c.partner.times != p.times):
-            raise PathError("partner path must share the sample grid and dimension")
-        other = c.partner.samples
-    elif isinstance(c, (CommutationConstraint, TargetDistanceConstraint)):
+        return c.partner
+    if isinstance(c, (CommutationConstraint, TargetDistanceConstraint)):
         other = as_square(c.partner if isinstance(c, CommutationConstraint) else c.target)
-        if other.shape != p.start.shape:
+        if other.shape != (p.dim, p.dim):
             raise PathError(f"a {other.shape} matrix does not match samples of size {p.dim}")
-        other = np.broadcast_to(other, p.samples.shape)  # a view, not a copy
-    elif not isinstance(c, (NormalityConstraint, PolynomialConstraint)):
+        return other
+    if not isinstance(c, (NormalityConstraint, PolynomialConstraint)):
         raise PathError(f"unknown constraint {c!r}")
-    for b in sample_blocks(p.n_samples, p.dim):
-        s = p.samples[b]
-        if isinstance(c, CommutationConstraint):
-            yield s @ other[b] - other[b] @ s
-        elif isinstance(c, TargetDistanceConstraint):
-            yield s - other[b]
-        elif isinstance(c, NormalityConstraint):
-            h = s.conj().transpose(0, 2, 1)
-            yield s @ h - h @ s
-        else:
-            yield poly_eval_matrix(c.poly, s)
+    return None
+
+
+def _residual(c: Constraint, s: np.ndarray, other, out: np.ndarray) -> np.ndarray:
+    """Residual stack of one constraint on a block of samples, in ``out`` when
+    it fits there."""
+    if isinstance(c, CommutationConstraint):
+        np.matmul(s, other, out=out)
+        out -= other @ s
+    elif isinstance(c, TargetDistanceConstraint):
+        np.subtract(s, other, out=out)
+    elif isinstance(c, NormalityConstraint):
+        h = s.conj().transpose(0, 2, 1)
+        np.matmul(s, h, out=out)
+        out -= h @ s
+    else:
+        return poly_eval_matrix(c.poly, s)
+    return out
+
+
+def verify_paths(paths, constraints, relation=None) -> tuple[tuple[PathReport, ...], float]:
+    """The report of ``constraints[j]`` along ``paths[j]`` for each j, from one
+    pass over the samples.
+
+    The paths share one time grid and size, and a partner path of a
+    commutation constraint is one of them.  Each block of samples of every
+    path is formed once, and each constraint's residual on it goes to the
+    constraint's own ``MaxOperatorNorm``.  ``relation``, when given, maps the
+    list of the paths' blocks and a free buffer of their shape to residual
+    stacks of its own; the largest norm over all of them is returned with the
+    reports (-inf without ``relation``).  ``worst_t`` is the first sample time
+    where a constraint's maximum is attained.
+    """
+    paths = list(paths)
+    constraints = [list(cons) for cons in constraints]
+    p = paths[0]
+    for q in paths[1:]:
+        if q.n_samples != p.n_samples or q.dim != p.dim or np.any(q.times != p.times):
+            raise PathError("paths must share the sample grid and dimension")
+
+    def formed_index(q: MatrixPath) -> int:
+        for i, w in enumerate(paths):
+            if w is q:
+                return i
+        raise PathError("a partner path must be one of the verified paths")
+
+    # for each constraint: a fixed matrix, None, or the index of a partner path
+    others = [[formed_index(o) if isinstance(o, MatrixPath) else o
+               for o in (_partner(q, c) for c in cons)]
+              for q, cons in zip(paths, constraints)]
+    blocks = sample_blocks(p.n_samples, p.dim)
+    # one allocation holds every buffer of the walk: a block for each path,
+    # one for the residual and three for the accumulators' ladder.  Freeing a
+    # mapping this large raises glibc's mmap and trim thresholds, so each
+    # block's temporaries then reuse heap pages instead of faulting in fresh
+    # ones (three seed-7 verify aulpac trials at 64 x 64 on a 2-core x86 VM:
+    # 1.3k minor faults, against 22.6k with separate buffers)
+    arena = np.empty((len(paths) + 4, blocks[0].stop, p.dim, p.dim), dtype=complex)
+    buffers, residual = arena[: len(paths)], arena[len(paths)]
+    scratch: list = list(arena[len(paths) + 1 :])
+    accs = [[MaxOperatorNorm(scratch) for _ in cons] for cons in constraints]
+    rel = MaxOperatorNorm(scratch)
+    for b in blocks:
+        formed = [q.form(b, buf) for q, buf in zip(paths, buffers)]
+        out = residual[: len(formed[0])]
+        for s, cons, row, acc_row in zip(formed, constraints, others, accs):
+            for c, other, acc in zip(cons, row, acc_row):
+                acc.add(_residual(c, s, formed[other] if isinstance(other, int) else other, out))
+        if relation is not None:
+            for r in relation(formed, out):
+                rel.add(r)
+    reports = tuple(
+        PathReport(tuple(
+            ConstraintResult(
+                label=c.label,
+                max_residual=acc.best,
+                bound=float(c.bound),
+                passed=bool(acc.best <= c.bound),
+                worst_t=float(p.times[acc.where]),
+            )
+            for c, acc in zip(cons, acc_row)
+        ))
+        for cons, acc_row in zip(constraints, accs)
+    )
+    return reports, rel.best
 
 
 def verify_path(p: MatrixPath, constraints) -> PathReport:
-    """Maximum over the samples of each constraint residual, checked against its bound.
-
-    ``worst_t`` is the first sample time where the maximum is attained.  The
-    maxima come from ``max_operator_norm``, which decomposes only the samples
-    whose residual can still be the largest.
-    """
-    entries = []
-    for c in constraints:
-        worst, i = max_operator_norm(_residual_blocks(p, c))
-        entries.append(ConstraintResult(
-            label=c.label,
-            max_residual=worst,
-            bound=float(c.bound),
-            passed=bool(worst <= c.bound),
-            worst_t=float(p.times[i]),
-        ))
-    return PathReport(tuple(entries))
-
-
-def spectrum_drift(p: MatrixPath) -> float:
-    """Largest matched deviation of sample eigenvalues from those at t=0.
-
-    Eigenvalue multisets are matched by minimal-cost assignment, so the
-    value is permutation-insensitive.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    ref = np.linalg.eigvals(p.samples[0])
-    worst = 0.0
-    for i in range(1, p.n_samples):
-        cur = np.linalg.eigvals(p.samples[i])
-        cost = np.abs(ref[:, None] - cur[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        worst = max(worst, float(cost[rows, cols].max()))
-    return worst
+    """Maximum over the samples of each constraint residual, checked against
+    its bound: ``verify_paths`` of the path and its partner paths."""
+    constraints = list(constraints)
+    partners = [c.partner for c in constraints
+                if isinstance(c, CommutationConstraint) and isinstance(c.partner, MatrixPath)]
+    reports, _ = verify_paths([p, *partners], [constraints] + [[] for _ in partners])
+    return reports[0]

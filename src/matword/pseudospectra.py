@@ -165,8 +165,10 @@ def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D
     has sigma(w) - |z - w| above the threshold by more than the SVD's
     rounding error: the decisions, and so the grid, are those of the full
     field.  Cells already at ``max_depth`` are kept; when nothing qualifies
-    the grid is returned unchanged.
+    the grid is returned unchanged.  The threshold must be positive.
     """
+    if not threshold > 0:
+        raise GridError(f"threshold must be positive, got {threshold!r}")
     if grid.kind != "quadtree" or grid.cells is None:
         raise GridError("refinement needs a quadtree grid")
     z = grid.nodes

@@ -33,7 +33,7 @@ from matword.deformation import (
 )
 from matword.linalg import commutator, frozen, operator_norm
 from matword.minpoly import PolyC, approx_min_poly
-from matword.paths import MatrixPath, spectrum_drift
+from matword.paths import MatrixPath
 from matword.pseudospectra import (
     chebyshev_grid,
     eigenvalue_disk_mask,
@@ -41,6 +41,7 @@ from matword.pseudospectra import (
     scan_triples,
 )
 from matword.sampling import haar_unitary, random_hermitian, unitary_near_identity
+from path_oracles import spectrum_drift
 
 Z2M1 = PolyC((-1.0, 0.0, 1.0))
 

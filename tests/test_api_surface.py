@@ -113,7 +113,6 @@ def test_the_walk_sees_parameters_and_calls():
 
 # Public names that only tests reference, and why each one stays.
 KEPT = {
-    "spectrum_drift": "criterion 6's oracle: a curved path keeps its spectrum",
     "eigenvalue_disk_mask": "criterion 4's oracle: the pseudospectrum of a normal matrix",
     "phase_exp": "test oracle for curved paths and principal_unitary_log",
     "path_length": "test oracle for the sampling and concatenation of paths",
@@ -182,5 +181,5 @@ def test_the_reference_walk_sees_wrapped_and_called_names():
     refs = referenced_names()
     # a call in the package's __init__ and a call in another module
     assert {"apply_env", "nearby_commuting_unitary"} <= refs
-    assert "spectrum_drift" not in refs
+    assert "path_length" not in refs
     assert list(_names(ast.parse('"paths.curved_path"'))) == ["paths", "curved_path"]

@@ -26,8 +26,9 @@ from matword.linalg import (
     operator_norm,
 )
 from matword.minpoly import PolyC, poly_eval_matrix, poly_residual
-from matword.paths import NormalityConstraint, PathError, spectrum_drift
+from matword.paths import NormalityConstraint, PathError
 from matword.sampling import unitary_near_identity
+from path_oracles import spectrum_drift
 
 Z2M1 = PolyC((-1.0, 0.0, 1.0))  # z^2 - 1
 
@@ -231,6 +232,38 @@ class TestConnectSoftAlgebraic:
         x = NormalTuple.from_matrices([np.diag([1.3, -1.0])])
         with pytest.raises(DeformationError):
             connect_soft_algebraic(x, x, (Z2M1,), delta=0.01, eps=0.1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_non_positive_eps_is_refused(eps):
+    x = NormalTuple.from_matrices([np.diag([1.0, -1.0])])
+    refused = [
+        lambda: connect_commuting(x, x, eps=eps),
+        lambda: connect_algebraic(x, x, (Z2M1,), eps=eps),
+        lambda: connect_soft_algebraic(x, x, (Z2M1,), delta=0.01, eps=eps),
+        lambda: verify_ulpac(InstanceSpec("cube", 2, 4, 0.02, 7, (Z2M1,), 1e-3), 1, eps),
+        lambda: verify_aulpac(InstanceSpec("cube", 2, 4, 0.02, 7), 1, eps),
+    ]
+    for call in refused:
+        with pytest.raises(DeformationError, match="eps must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["cube", "sphere"])
+def test_relation_of_the_one_pass_walk_equals_the_stacked_evaluation(kind):
+    x, y = generate_instance(InstanceSpec(kind, 2, 6, 0.02, 7))
+    res = connect_commuting(x, y, relation=kind)
+    stacked = deformation._relation_residual([p.samples for p in res.paths], kind)
+    assert res.relation_residual == stacked
+    assert connect_commuting(x, y).relation_residual is None
+
+
+def test_verify_refuses_the_zero_pass_threshold_of_delta_zero():
+    # 10*delta, and 10*delta + 5*eps_alg, are 0: no trial could pass
+    with pytest.raises(DeformationError, match="eps must be positive"):
+        verify_aulpac(InstanceSpec("cube", 2, 4, 0.0, 7), 1)
+    with pytest.raises(DeformationError, match="eps must be positive"):
+        verify_ulpac(InstanceSpec("cube", 2, 4, 0.0, 7, (Z2M1,), 0.0), 1)
 
 
 class TestVerifyUlpac:

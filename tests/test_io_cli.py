@@ -548,15 +548,22 @@ class TestCli:
 
     @pytest.mark.parametrize("case, value", [("scan --eps", "0"), ("lemniscate --level", "0"),
                                              ("verify --delta", "-0.01"),
-                                             ("generate --delta", "-0.01")])
+                                             ("generate --delta", "-0.01")]
+                             + [(case, value) for case in ("minpoly --delta",
+                                                           "grid refine --threshold",
+                                                           "deform --eps", "verify --eps")
+                                for value in ("0", "-1")]
+                             + [("verify --delta", "0")])
     def test_threshold_positivity_rules_still_apply(self, tmp_path, capsys, monkeypatch,
                                                     case, value):
         monkeypatch.chdir(tmp_path)
         io.save_matrices("a.json", np.diag([0.1, 0.2]))
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--out", "g.json"]) == 0
+        capsys.readouterr()
         argv = [arg.replace("{}", value) for arg in self._THRESHOLDS[case]]
         assert dispatch(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "g.json"]
 
 
 class TestStructurallyWrongJson:
@@ -763,6 +770,10 @@ def random_triples(rng, count, n, rank):
                        float(rng.uniform())) for _ in range(count)]
 
 
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def pairs_to_matrix(pairs, n) -> np.ndarray:
     arr = np.array(pairs, dtype=float)
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(-1, n)
@@ -820,6 +831,26 @@ class TestStreamedWriters:
             assert [r["t"] for r in recs] == list(p.times)
             assert all(np.array_equal(pairs_to_matrix(r["matrix"], p.dim), s)
                        for r, s in zip(recs, p.samples))
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_special_floats_match_json_dumps(self, tmp_path, n):
+        # every value below is written as json.dumps writes it, in matrix
+        # containers and path dumps alike
+        from matword.paths import MatrixPath
+
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e-05, 1.0, -3.0,
+                            2.0**53, 0.1, 123456789.0])
+        mats = [np.resize(np.roll(special, k), (n, n))
+                + 1j * np.resize(np.roll(special, 5 * k + 1), (n, n))
+                for k in range(len(special))]
+        path = tmp_path / "m.json"
+        io.save_matrices(path, mats)
+        assert path.read_bytes() == tree_bytes(
+            matrices_tree(mats, [f"m{i}" for i in range(len(mats))], None))
+        assert all(np.array_equal(bits(b), bits(m)) for b, m in zip(io.load_matrices(path), mats))
+        p = MatrixPath(np.linspace(0.0, 1.0, len(mats)), np.array(mats))
+        io.write_paths_json(path, [p, p])
+        assert path.read_bytes() == tree_bytes(paths_tree([p, p]))
 
     def test_deform_paths_dump_matches_the_tree(self, tmp_path):
         from matword.deformation import InstanceSpec, connect_commuting, generate_instance

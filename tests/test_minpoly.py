@@ -72,6 +72,11 @@ class TestRitzValues:
 
 
 class TestApproxMinPoly:
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_delta_must_be_positive(self, delta):
+        with pytest.raises(LinalgError, match="delta must be positive"):
+            approx_min_poly(np.diag([0.1, 0.2]), delta=delta, max_deg=3)
+
     def test_exact_degree_two(self):
         a = np.diag([0.0, 0.0, 1.0])
         p, res = approx_min_poly(a, delta=1e-8, max_deg=5)
@@ -92,8 +97,9 @@ class TestApproxMinPoly:
         eigs = rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.8, 0.8, n)
         a = (u * eigs) @ u.conj().T
         prev = np.inf
+        # a delta no fit reaches, so every degree up to max_deg is tried
         for max_deg in (1, 2, 4, 6, 8):
-            _, res = approx_min_poly(a, delta=0.0, max_deg=max_deg, seed=5)
+            _, res = approx_min_poly(a, delta=1e-300, max_deg=max_deg, seed=5)
             assert res <= prev + 1e-12
             prev = res
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from matword import deformation, linalg, paths
-from matword.linalg import commutator, max_operator_norm, operator_norm, phase_exp
+from matword.linalg import (
+    MaxOperatorNorm,
+    commutator,
+    hermitian_part,
+    max_operator_norm,
+    operator_norm,
+    phase_exp,
+)
 from matword.minpoly import PolyC
 from matword.paths import (
     CommutationConstraint,
@@ -19,10 +26,10 @@ from matword.paths import (
     curved_path,
     flat_path,
     path_length,
-    spectrum_drift,
     verify_path,
 )
 from matword.sampling import commuting_hermitian_tuple, random_hermitian
+from path_oracles import spectrum_drift
 
 
 class TestCurvedPath:
@@ -481,23 +488,19 @@ class TestMaxOperatorNorm:
     def test_a_benchmark_trial_decomposes_under_half_its_samples(self, monkeypatch):
         # one trial of verify aulpac --kind sphere --m 2 --n 32 --seed 7 (64 x 64)
         seen, decomposed = [0], [0]
-        real = linalg.operator_norm
+        real_norm, real_add = linalg.operator_norm, linalg.MaxOperatorNorm.add
 
         def counting_norm(a):
             decomposed[0] += len(a)
-            return real(a)
+            return real_norm(a)
 
-        def counting_max(blocks):
-            def counted():
-                for r in blocks:
-                    seen[0] += len(r)
-                    yield r
+        def counting_add(acc, r):
+            seen[0] += len(r)
             with monkeypatch.context() as m:
                 m.setattr(linalg, "operator_norm", counting_norm)
-                return max_operator_norm(counted())
+                real_add(acc, r)
 
-        monkeypatch.setattr(paths, "max_operator_norm", counting_max)
-        monkeypatch.setattr(deformation, "max_operator_norm", counting_max)
+        monkeypatch.setattr(linalg.MaxOperatorNorm, "add", counting_add)
         (r,) = deformation.verify_aulpac(deformation.InstanceSpec("sphere", 2, 32, 0.02, 7),
                                          1).records
         assert r.passed
@@ -506,37 +509,8 @@ class TestMaxOperatorNorm:
 
 
 class TestSampleAdoption:
-    """A path keeps the read-only stack its path function made instead of copying
-    it, and still copies any array a caller might write to later."""
-
-    @staticmethod
-    def built(monkeypatch, build):
-        """The path ``build`` returns and the samples array it handed over."""
-        handed = []
-
-        class Spy(MatrixPath):
-            def __post_init__(self):
-                handed.append(self.samples)
-                super().__post_init__()
-
-        monkeypatch.setattr(paths, "MatrixPath", Spy)
-        p = build()
-        return p, handed[-1]
-
-    @pytest.mark.parametrize("kind", ["curved", "flat", "concat"])
-    def test_path_functions_hand_over_their_stack(self, monkeypatch, kind):
-        rng = np.random.default_rng(7)
-        n = 8
-        h, d = random_hermitian(rng, n), random_hermitian(rng, n)
-        build = {
-            "curved": lambda: curved_path(h, d),
-            "flat": lambda: flat_path(h, d),
-            "concat": lambda: concat(flat_path(d, h), flat_path(h, d)),
-        }[kind]
-        p, handed = self.built(monkeypatch, build)
-        assert p.samples is handed
-        assert p.samples.flags.owndata and not p.samples.flags.writeable
-        assert p.samples.shape == ((129 if kind == "concat" else 65), n, n)
+    """A path keeps a given read-only stack that owns its data, and copies any
+    array a caller might write to later."""
 
     def test_writeable_array_is_copied(self, rng):
         samples = random_stack(rng, 5, 3)
@@ -556,3 +530,151 @@ class TestSampleAdoption:
         assert not np.shares_memory(p.samples, base)
         base[1] = 0.0
         assert np.array_equal(p.samples, before)
+
+
+def stored_curved(h, d, s):
+    """The per-sample expressions of a curved path's stored stack."""
+    w, q = np.linalg.eigh(hermitian_part(h))
+    out = np.empty((s, *d.shape), dtype=complex)
+    for i, t in enumerate(np.linspace(0.0, 1.0, s)):
+        u = (q * np.exp(1j * np.pi * t * w)) @ q.conj().T
+        out[i] = u @ d @ u.conj().T
+    return out
+
+
+def stored_flat(x, y, s):
+    """The per-sample expressions of a flat path's stored stack."""
+    out = np.empty((s, *x.shape), dtype=complex)
+    for i, t in enumerate(np.linspace(0.0, 1.0, s)):
+        out[i] = (1.0 - t) * x + t * y
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestLazySamples:
+    """Samples formed on demand are the stored per-sample expressions to the bit,
+    in every block, whichever segments a block straddles."""
+
+    @staticmethod
+    def check(p, want):
+        assert np.array_equal(bits(p.samples), bits(want))
+        assert np.array_equal(bits(p.start), bits(want[0]))
+        assert np.array_equal(bits(p.end), bits(want[-1]))
+        count, n = len(want), p.dim
+        buf = np.empty((count, n, n), dtype=complex)
+        windows = paths.sample_blocks(count, n) + [
+            slice(lo, min(lo + w, count)) for w in (1, 5, 17) for lo in range(0, count, 3)]
+        for b in windows:
+            assert np.array_equal(bits(p.form(b, buf)), bits(want[b]))
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 64])
+    @pytest.mark.parametrize("s", [2, 17, 33, 65])
+    def test_curved_flat_and_three_part_concat(self, n, s):
+        rng = np.random.default_rng(100 * n + s)
+        h, d = random_hermitian(rng, n), random_stack(rng, 1, n)[0]
+        curved = curved_path(h, d, s)
+        want_curved = stored_curved(h, d, s)
+        self.check(curved, want_curved)
+        y, z = random_stack(rng, 2, n)
+        flat = flat_path(want_curved[-1], y, s)
+        want_flat = stored_flat(want_curved[-1], y, s)
+        self.check(flat, want_flat)
+        tail = flat_path(y, z, 5)
+        joined = concat(curved, flat, tail)
+        self.check(joined, np.concatenate([want_curved, want_flat[1:], stored_flat(y, z, 5)[1:]]))
+        assert joined.n_samples == 2 * s + 3
+        # a concatenation of concatenations is the same path
+        nested = concat(concat(curved, flat), tail)
+        assert np.array_equal(nested.times, joined.times)
+        self.check(nested, joined.samples)
+
+    def test_samples_are_formed_anew_and_read_only(self, rng):
+        p = curved_path(random_hermitian(rng, 4), random_hermitian(rng, 4), 9)
+        first, second = p.samples, p.samples
+        assert first is not second and not np.shares_memory(first, second)
+        assert not first.flags.writeable and first.flags.owndata
+        assert np.array_equal(first, second)
+
+
+def formation_counts(monkeypatch):
+    """{(segment, sample index): times formed}, filled while the patch holds."""
+    counts = {}
+    for cls in (paths._Curved, paths._Flat):
+        def counting(seg, lo, hi, out, real=cls.form):
+            for i in range(lo, hi):
+                counts[seg, i] = counts.get((seg, i), 0) + 1
+            real(seg, lo, hi, out)
+        monkeypatch.setattr(cls, "form", counting)
+    return counts
+
+
+@pytest.mark.parametrize("verify, spec", [
+    (deformation.verify_aulpac, deformation.InstanceSpec("sphere", 2, 8, 0.02, 7)),
+    (deformation.verify_ulpac,
+     deformation.InstanceSpec("cube", 2, 8, 0.02, 73, (PolyC((-1.0, 0.0, 1.0)),), 1e-3)),
+])
+def test_a_trial_forms_each_sample_once_besides_its_ends(monkeypatch, verify, spec):
+    counts = formation_counts(monkeypatch)
+    (r,) = verify(spec, 1, eps_pass=0.2).records
+    assert r.passed
+    segments = {seg for seg, _ in counts}
+    curved = [seg for seg in segments if isinstance(seg, paths._Curved)]
+    assert len(curved) == spec.m and len(segments) == (2 if spec.polys is None else 3) * spec.m
+    for seg in segments:
+        last = len(seg) - 1
+        formed = [counts.get((seg, i), 0) for i in range(last + 1)]
+        # the walk forms every sample once; the ends also serve the junction
+        # and endpoint checks
+        assert formed[1:last] == [1] * (last - 1)
+        assert 1 <= min(formed[0], formed[last]) and max(formed[0], formed[last]) <= 4
+
+
+def test_path_length_forms_each_sample_once(monkeypatch, rng):
+    counts = formation_counts(monkeypatch)
+    c = curved_path(random_hermitian(rng, 3), random_hermitian(rng, 3), 9)
+    p = concat(c, flat_path(c.end, np.eye(3), 9))
+    counts.clear()
+    path_length(p)
+    assert len(counts) == p.n_samples and set(counts.values()) == {1}
+
+
+def test_one_benchmark_trial_stays_under_11_mib():
+    # one trial of verify aulpac --kind sphere --m 2 --n 32 --seed 7 (64 x 64):
+    # whole-path stacks held 8 MiB of it, 15 MiB at the peak
+    spec = deformation.InstanceSpec("sphere", 2, 32, 0.02, 7)
+    deformation.verify_aulpac(spec, 1)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        (r,) = deformation.verify_aulpac(spec, 1).records
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert r.passed
+    assert peak <= 11 * 2**20
+
+
+def test_accumulators_sharing_scratch_match_the_looped_oracle():
+    # several accumulators take turns on one scratch list, with blocks of
+    # changing length and size, ties, subnormal and overflowing samples
+    rng = np.random.default_rng(5)
+    stacks = []
+    for n in (3, 16, 3):
+        z = random_stack(rng, 40, n)
+        z[7::9] = z[7]  # ties within and across blocks
+        z[3] *= 2.0**-1070  # every part subnormal
+        z[11] *= 1e200  # the ladder's products overflow
+        z[20] = 0.0
+        stacks.append(z)
+    scratch = []
+    accs = [MaxOperatorNorm(scratch) for _ in stacks]
+    for lo, hi in ((0, 16), (16, 17), (17, 33), (33, 40)):
+        for acc, z in zip(accs, stacks):
+            acc.add(z[lo:hi])
+    for acc, z in zip(accs, stacks):
+        assert (acc.best, acc.where) == looped_max(z)
+    fresh = MaxOperatorNorm([])
+    assert (fresh.best, fresh.where) == (-np.inf, 0)

@@ -234,6 +234,13 @@ class TestLazyRefinement:
         with pytest.raises(GridError):
             refine_grid(g, np.eye(2), 0.1, 2)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_threshold_must_be_positive(self, threshold):
+        g = quadtree_grid((-1, 1, -1, 1), 1)
+        for field in (np.eye(2), ScalarField2D(g, np.zeros(g.size))):
+            with pytest.raises(GridError, match="threshold must be positive"):
+                refine_grid(g, field, threshold, 2)
+
 
 class TestSigmaMinField:
     def test_zero_at_eigenvalues(self, rng):
