@@ -292,10 +292,8 @@ def _assemble_result(
     n = x.dim
     comm_bound = 1e-7 * n
     dist_bound = math.inf if eps is None else eps
-    endpoint = 0.0
     constraints = []
     for j, p in enumerate(paths):
-        endpoint = max(endpoint, operator_norm(p.start - x[j]), operator_norm(p.end - y[j]))
         cons = [
             CommutationConstraint(paths[k], comm_bound, label=f"commutation[{j},{k}]")
             for k in range(j + 1, len(paths))
@@ -307,6 +305,9 @@ def _assemble_result(
         constraints.append(cons)
     stacks = None if relation is None else lambda b, out: _relation_stacks(b, relation, out)
     reports, worst_relation = verify_paths(paths, constraints, stacks)
+    # the walk formed and kept each path's ends
+    endpoint = max(max(operator_norm(p.start - xj), operator_norm(p.end - yj))
+                   for p, xj, yj in zip(paths, x, y))
 
     comm_vals = [
         e.max_residual

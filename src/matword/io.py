@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +105,18 @@ def _json_parts(node) -> list:
     list and each ``_Text`` in place of its text."""
     if isinstance(node, (Iterator, _Text)):
         return [node]
-    if not _lazy(node):
+    if not isinstance(node, dict):
         return [json.dumps(node, sort_keys=True)]
-    parts = ["{"]
-    for i, key in enumerate(sorted(node)):
-        parts.append(f"{', ' if i else ''}{json.dumps(key)}: ")
-        parts += _json_parts(node[key])
+    parts, sep = ["{"], ""
+    # each run of plain values in key order is encoded by one json.dumps call
+    for lazy, keys in groupby(sorted(node), key=lambda k: _lazy(node[k])):
+        if lazy:
+            for key in keys:
+                parts += [f"{sep}{json.dumps(key)}: ", *_json_parts(node[key])]
+                sep = ", "
+        else:
+            parts.append(sep + json.dumps({k: node[k] for k in keys}, sort_keys=True)[1:-1])
+            sep = ", "
     parts.append("}")
     return parts
 

@@ -9,17 +9,20 @@ segments of any number of paths and copies no sample, with the times of the
 left fold of binary concatenations.  Samples are formed on demand, a block
 at a time, each by the per-sample expression of its segment, so a sample
 has the same bits whichever block forms it; ``samples`` forms the whole
-read-only stack on each access and does not keep it.
+read-only stack on each access and does not keep it.  A segment keeps only
+its two end samples once formed, which the junction checks, the next
+segment's start and the endpoint checks read again.
 
 Verification is report-only: each constraint yields the maximum of its
 residual norm over the samples, the first time it is attained, and a
 pass/fail against the supplied bound.  ``verify_paths`` walks a tuple of
-paths once, in blocks of at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
-of complex residual.  It forms each path's block once, into a buffer reused
+paths once, in the fewest balanced blocks whose n x n complex stacks fit
+SAMPLE_BLOCK_BYTES.  It forms each path's block once, into a buffer reused
 from block to block, and feeds every constraint's residual to its own
 ``linalg.MaxOperatorNorm``, which runs the SVD only on the samples whose norm
 bound still reaches the running maximum, so the reported maxima are the
-per-sample SVD's to the bit.  Memory does not grow with the sample count.
+per-sample SVD's to the bit whatever the blocks.  Memory does not grow with
+the sample count.
 """
 
 from __future__ import annotations
@@ -40,19 +43,26 @@ from .linalg import (
 from .minpoly import PolyC, poly_eval_matrix
 
 DEFAULT_SAMPLES = 65
-# Residuals are evaluated on stacks of at most SAMPLE_BLOCK samples and
-# SAMPLE_BLOCK_BYTES of complex entries, one batched matmul and SVD call per
-# block.  Whole-path stacks cost too much memory: at n = 64 the normality
-# residual alone holds three 65x64x64 complex temporaries (12.2 MiB).  Up to
-# n = 128 a block holds SAMPLE_BLOCK samples; at n = 256 it holds 4.
-SAMPLE_BLOCK = 16
-SAMPLE_BLOCK_BYTES = 4 << 20
+# Residuals are evaluated a block of samples at a time, one batched matmul and
+# SVD call per block, and a block's n x n complex stack holds at most
+# SAMPLE_BLOCK_BYTES.  A walk over m paths keeps m + 4 such stacks (a block
+# per path, the residual and the norm bounds' three work stacks): 1.5 MiB for
+# m = 2, which stays within a 2 MiB per-core L2 cache.  The budget gives
+# blocks of 34 + 33 samples at n = 16, where a long block lets the running
+# maximum skip more SVDs, 4 samples at n = 64 and 1 from n = 128 on, where
+# memory matters more than batching.
+SAMPLE_BLOCK_BYTES = 256 << 10
 
 
 def sample_blocks(count: int, n: int) -> list[slice]:
-    """Slices that walk ``count`` samples of n x n residuals in bounded blocks."""
-    size = max(1, min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (16 * n * n)))
-    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+    """Slices that walk ``count`` samples of n x n residuals in the fewest
+    blocks of at most SAMPLE_BLOCK_BYTES (one sample when a sample is larger),
+    whose lengths differ by at most one, longest first."""
+    size = max(1, SAMPLE_BLOCK_BYTES // (16 * n * n))
+    k = -(-count // size)
+    short, extra = divmod(count, k)
+    bounds = [i * short + min(i, extra) for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class PathError(ValueError):
@@ -76,32 +86,63 @@ class _Stored:
     def form(self, lo: int, hi: int, out: np.ndarray):
         out[...] = self.samples[lo:hi]
 
+    fill = form
 
-class _Curved:
+    def sample(self, i: int) -> np.ndarray:
+        return self.samples[i]
+
+
+class _Formed:
+    """Samples formed on demand by ``form``.  ``fill`` keeps a read-only copy
+    of each end sample it forms and copies it instead of forming it again, so
+    a walk over the samples and the path's ``start`` and ``end`` form each
+    sample once."""
+
+    def __len__(self):
+        return len(self.times)
+
+    def fill(self, lo: int, hi: int, out: np.ndarray):
+        kept = self.kept
+        if lo in kept:
+            out[0] = kept[lo]
+            lo, out = lo + 1, out[1:]
+        if lo < hi and hi - 1 in kept:
+            out[-1] = kept[hi - 1]
+            hi, out = hi - 1, out[:-1]
+        if lo < hi:
+            self.form(lo, hi, out)
+            for i in {lo, hi - 1} & {0, len(self) - 1}:
+                kept[i] = frozen(out[i - lo])
+
+    def sample(self, i: int) -> np.ndarray:
+        if i not in self.kept:
+            self.fill(i, i + 1, np.empty((1, *self.shape), dtype=complex))
+        return self.kept[i]
+
+
+class _Curved(_Formed):
     """t -> U(t) D U(t)*, U(t) = Q diag(exp(i pi t w)) Q*, for the eigh factors
     (w, Q) of the generator."""
 
     def __init__(self, w: np.ndarray, q: np.ndarray, d: np.ndarray, times: np.ndarray):
-        self.w, self.q, self.qh, self.d, self.times = w, q, q.conj().T, d, times
-
-    def __len__(self):
-        return len(self.times)
+        self.w, self.q, self.d, self.times = w, q, d, times
+        self.shape, self.kept = d.shape, {}
 
     def form(self, lo: int, hi: int, out: np.ndarray):
         t = self.times[lo:hi, None]
-        u = (self.q * np.exp(1j * np.pi * t * self.w)[:, None, :]) @ self.qh
+        # Q diag(exp(i pi t w)) goes in ``out``, which holds no sample yet
+        u = np.multiply(self.q, np.exp(1j * np.pi * t * self.w)[:, None, :], out=out)
+        u = u @ self.q.conj().T
         ud = u @ self.d
         np.matmul(ud, np.conjugate(u, out=u).transpose(0, 2, 1), out=out)
 
 
-class _Flat:
+class _Flat(_Formed):
     """t -> (1 - t) X + t Y."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, times: np.ndarray):
         self.x, self.y, self.times = x, y, times
-
-    def __len__(self):
-        return len(self.times)
+        self.shape, self.kept = x.shape, {}
 
     def form(self, lo: int, hi: int, out: np.ndarray):
         t = self.times[lo:hi, None, None]
@@ -161,13 +202,9 @@ class MatrixPath:
             count = len(seg) - first
             a, z = max(lo, offset), min(hi, offset + count)
             if a < z:
-                seg.form(first + a - offset, first + z - offset, out[a - lo : z - lo])
+                seg.fill(first + a - offset, first + z - offset, out[a - lo : z - lo])
             offset += count
         return out[: hi - lo]
-
-    def _sample(self, i: int) -> np.ndarray:
-        out = np.empty((1, self._dim, self._dim), dtype=complex)
-        return self.form(slice(i, i + 1), out)[0]
 
     @property
     def samples(self) -> np.ndarray:
@@ -179,11 +216,15 @@ class MatrixPath:
 
     @property
     def start(self) -> np.ndarray:
-        return self._sample(0)
+        """The first sample, read-only; formed once and kept by its segment."""
+        seg, first = self._pieces[0]
+        return seg.sample(first)
 
     @property
     def end(self) -> np.ndarray:
-        return self._sample(self.n_samples - 1)
+        """The last sample, read-only; formed once and kept by its segment."""
+        seg, _ = self._pieces[-1]
+        return seg.sample(len(seg) - 1)
 
 
 def _timegrid(n_samples: int) -> np.ndarray:
@@ -232,12 +273,15 @@ def concat(p: MatrixPath, q: MatrixPath, *more: MatrixPath) -> MatrixPath:
         if p.dim != right.dim:
             raise PathError("path dimensions disagree")
         tol = default_tol(p.dim)
-        mismatch = operator_norm(left.end - right.start)
+        # the result skips right's first sample, so it is formed here and not kept
+        (seg, first), *rest = right._pieces
+        start = np.empty((1, p.dim, p.dim), dtype=complex)
+        seg.form(first, first + 1, start)
+        mismatch = operator_norm(left.end - start[0])
         if mismatch > tol:
             raise PathError(f"junction mismatch {mismatch:.3e} exceeds tolerance {tol:.3e}")
         times = np.concatenate([times / 2.0, 0.5 + right.times[1:] / 2.0])
         _check_times(times)
-        (seg, first), *rest = right._pieces
         pieces += [(seg, first + 1), *rest]
     return MatrixPath._of(frozen(times), pieces, p.dim)
 
@@ -374,7 +418,8 @@ def verify_paths(paths, constraints, relation=None) -> tuple[tuple[PathReport, .
     # block's temporaries then reuse heap pages instead of faulting in fresh
     # ones (three seed-7 verify aulpac trials at 64 x 64 on a 2-core x86 VM:
     # 1.3k minor faults, against 22.6k with separate buffers)
-    arena = np.empty((len(paths) + 4, blocks[0].stop, p.dim, p.dim), dtype=complex)
+    longest = blocks[0].stop - blocks[0].start
+    arena = np.empty((len(paths) + 4, longest, p.dim, p.dim), dtype=complex)
     buffers, residual = arena[: len(paths)], arena[len(paths)]
     scratch: list = list(arena[len(paths) + 1 :])
     accs = [[MaxOperatorNorm(scratch) for _ in cons] for cons in constraints]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import tracemalloc
@@ -817,6 +818,33 @@ class TestStreamedWriters:
         assert path.read_bytes() == tree_bytes(matrices_tree([np.array([[-0.0]])], ["m0"], None))
         (back,) = io.load_matrices(path)
         assert back.shape == (1, 1) and np.signbit(back[0, 0].real)
+
+    def test_lazy_values_in_every_key_position(self, tmp_path):
+        # every mix of plain values, _pairs texts and iterators over four keys
+        # given out of order, and nested in a lazy dict and in iterator items
+        m = np.array([[complex(-0.0, 1.5), 2.0]])
+        plain = {"b": -0.0, "a": [1, "q\"\\ ñ"], "c": None}
+
+        def value(kind, lazy):
+            if kind == "plain":
+                return plain
+            if kind == "text":
+                return io._pairs(m) if lazy else tree_pairs(m)
+            item = ({"t": 0.5, "m": io._pairs(m)} if lazy else {"t": 0.5, "m": tree_pairs(m)})
+            return iter([item, plain]) if lazy else [item, plain]
+
+        path = tmp_path / "d.json"
+        for kinds in itertools.product(("plain", "text", "iter"), repeat=4):
+            keys = ("Z", "b", "_", "a")
+            for outer in (False, True):
+                def doc(lazy):
+                    d = {k: value(kind, lazy) for k, kind in zip(keys, kinds)}
+                    return {"z": 1, "inner": d, "y": [2]} if outer else d
+
+                io._write_json(path, doc(True))
+                assert path.read_bytes() == tree_bytes(doc(False))
+        io._write_json(path, {})
+        assert path.read_bytes() == b"{}"
 
     def test_path_dump_bytes_match_the_tree(self, tmp_path, rng):
         from matword.paths import flat_path

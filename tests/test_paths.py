@@ -399,15 +399,23 @@ def decomposed(stack):
     return count[0]
 
 
-@pytest.mark.parametrize("n, size", [(16, 16), (64, 16), (128, 16), (256, 4)])
-def test_sample_blocks_cover_every_sample_once(n, size):
-    for count in (1, 3, 4, 5, 16, 17, 65, 129):
-        blocks = paths.sample_blocks(count, n)
-        covered = np.concatenate([np.arange(count)[b] for b in blocks])
-        assert np.array_equal(covered, np.arange(count))
-        lengths = [len(range(count)[b]) for b in blocks]
-        assert min(lengths) > 0 and max(lengths) == min(size, count)
-        assert max(lengths) * 16 * n * n <= paths.SAMPLE_BLOCK_BYTES
+def test_sample_blocks_cover_every_sample_once():
+    for n, lengths in ((16, [34, 33]), (64, [4] * 16 + [3]), (128, [1] * 67), (256, [1] * 67)):
+        assert [b.stop - b.start for b in paths.sample_blocks(67, n)] == lengths
+    for n in (1, 2, 16, 64, 128, 181, 256):
+        per_sample = 16 * n * n
+        fit = max(1, paths.SAMPLE_BLOCK_BYTES // per_sample)  # samples a block may hold
+        for count in (1, 3, 4, 5, 16, 17, 33, 65, 67, 129):
+            blocks = paths.sample_blocks(count, n)
+            covered = np.concatenate([np.arange(count)[b] for b in blocks])
+            assert np.array_equal(covered, np.arange(count))
+            lengths = [b.stop - b.start for b in blocks]
+            # balanced, longest first, each within the budget unless it holds
+            # one sample, and no fewer blocks would fit
+            assert lengths == sorted(lengths, reverse=True) and lengths[0] - lengths[-1] <= 1
+            assert lengths[-1] > 0
+            assert lengths[0] == 1 or lengths[0] * per_sample <= paths.SAMPLE_BLOCK_BYTES
+            assert (len(blocks) - 1) * fit < count
 
 
 class TestMaxOperatorNorm:
@@ -435,8 +443,7 @@ class TestMaxOperatorNorm:
 
     @pytest.mark.parametrize("n,s", STACK_SHAPES + [(256, 9)])
     def test_block_size_moves_no_result(self, n, s):
-        # the byte cap gives 4-sample blocks at n = 256; the value and the first
-        # argmax are those of 16-sample blocks
+        # blocks of 4 and of 16 samples give the same value and first argmax
         rng = np.random.default_rng(3000 * n + s)
         stack = random_stack(rng, s, n)
         stack[s // 2 :: 3] = stack[s // 2]  # ties across and within blocks
@@ -624,26 +631,53 @@ def test_a_trial_forms_each_sample_once_besides_its_ends(monkeypatch, verify, sp
     curved = [seg for seg in segments if isinstance(seg, paths._Curved)]
     assert len(curved) == spec.m and len(segments) == (2 if spec.polys is None else 3) * spec.m
     for seg in segments:
-        last = len(seg) - 1
-        formed = [counts.get((seg, i), 0) for i in range(last + 1)]
-        # the walk forms every sample once; the ends also serve the junction
-        # and endpoint checks
-        assert formed[1:last] == [1] * (last - 1)
-        assert 1 <= min(formed[0], formed[last]) and max(formed[0], formed[last]) <= 4
+        # the walk forms every sample once; the junction and endpoint checks,
+        # the flat segment's start and the recovery check reuse kept ends
+        assert [counts.get((seg, i), 0) for i in range(len(seg))] == [1] * len(seg)
 
 
 def test_path_length_forms_each_sample_once(monkeypatch, rng):
     counts = formation_counts(monkeypatch)
     c = curved_path(random_hermitian(rng, 3), random_hermitian(rng, 3), 9)
     p = concat(c, flat_path(c.end, np.eye(3), 9))
-    counts.clear()
     path_length(p)
-    assert len(counts) == p.n_samples and set(counts.values()) == {1}
+    # building the path forms the curved end, where the flat segment starts,
+    # and the flat segment's first sample, which only the junction check reads
+    assert len(counts) == p.n_samples + 1 and set(counts.values()) == {1}
 
 
-def test_one_benchmark_trial_stays_under_11_mib():
+@pytest.mark.parametrize("verify, spec", [
+    (deformation.verify_ulpac,
+     deformation.InstanceSpec("cube", 2, 16, 0.02, 7, (PolyC((-1.0, 0.0, 1.0)),), 1e-3)),
+    (deformation.verify_aulpac, deformation.InstanceSpec("sphere", 2, 32, 0.02, 7)),
+    (deformation.verify_aulpac, deformation.InstanceSpec("cube", 3, 8, 0.02, 11)),
+])
+def test_reports_do_not_depend_on_the_block_budget(monkeypatch, verify, spec):
+    # budgets of one sample, five (ragged blocks), the default and a whole path
+    results = []
+
+    def keeping(*args, real=deformation._assemble_result):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(deformation, "_assemble_result", keeping)
+    dim = spec.n if verify is deformation.verify_ulpac else 2 * spec.n
+    per_sample = 16 * dim * dim
+    seen = []
+    for budget in (per_sample, 5 * per_sample, paths.SAMPLE_BLOCK_BYTES, 100 * per_sample):
+        monkeypatch.setattr(paths, "SAMPLE_BLOCK_BYTES", budget)
+        results.clear()
+        records = verify(spec, 1).records
+        (res,) = results
+        seen.append((records, res.reports, res.relation_residual, res.endpoint_residual))
+    assert seen[0][0][0].passed
+    assert all(s == seen[0] for s in seen[1:])
+
+
+def test_one_benchmark_trial_stays_under_4_mib():
     # one trial of verify aulpac --kind sphere --m 2 --n 32 --seed 7 (64 x 64):
-    # whole-path stacks held 8 MiB of it, 15 MiB at the peak
+    # 2.7 MiB at the peak with 4-sample blocks, 8.7 MiB with 16-sample blocks,
+    # 15 MiB with whole-path stacks
     spec = deformation.InstanceSpec("sphere", 2, 32, 0.02, 7)
     deformation.verify_aulpac(spec, 1)  # imports and first-call caches
     tracemalloc.start()
@@ -654,7 +688,36 @@ def test_one_benchmark_trial_stays_under_11_mib():
     finally:
         tracemalloc.stop()
     assert r.passed
-    assert peak <= 11 * 2**20
+    assert peak <= 4 * 2**20
+
+
+def test_a_walk_at_256_holds_one_sample_per_block():
+    # two 5-sample paths at 256 x 256 (1 MiB a sample) with the constraints and
+    # the sphere relation of a trial: the walk's six stacks hold one sample
+    # each, 8.0 MiB at the peak, against 32 MiB with 4-sample blocks
+    rng = np.random.default_rng(256)
+    h = 1e-3 * random_hermitian(rng, 256)
+    d = [np.diag(rng.uniform(-1.0, 1.0, 256)).astype(complex) for _ in range(2)]
+    ps = [concat(c, flat_path(c.end, dj, 3)) for c, dj in zip(
+        (curved_path(h, dj, 3) for dj in d), d)]
+    cons = [[CommutationConstraint(ps[1], 1.0), NormalityConstraint(1.0),
+             TargetDistanceConstraint(d[0], 1.0)],
+            [NormalityConstraint(1.0), TargetDistanceConstraint(d[1], 1.0)]]
+
+    def walk():
+        return paths.verify_paths(
+            ps, cons, lambda b, out: deformation._relation_stacks(b, "sphere", out))
+
+    walk()  # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reports, _ = walk()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 9 * 2**20
 
 
 def test_accumulators_sharing_scratch_match_the_looped_oracle():
