@@ -399,7 +399,7 @@ def decomposed(stack):
     return count[0]
 
 
-def test_sample_blocks_cover_every_sample_once():
+def test_sample_blocks_at_the_default_budget():
     for n, lengths in ((16, [34, 33]), (64, [4] * 16 + [3]), (128, [1] * 67), (256, [1] * 67)):
         assert [b.stop - b.start for b in paths.sample_blocks(67, n)] == lengths
     for n in (1, 2, 16, 64, 128, 181, 256):
@@ -416,6 +416,21 @@ def test_sample_blocks_cover_every_sample_once():
             assert lengths[-1] > 0
             assert lengths[0] == 1 or lengths[0] * per_sample <= paths.SAMPLE_BLOCK_BYTES
             assert (len(blocks) - 1) * fit < count
+
+
+@pytest.mark.parametrize("n, size", [(16, 16), (64, 16), (128, 16), (256, 4)])
+def test_sample_blocks_cover_every_sample_once(n, size, monkeypatch):
+    # a budget of exactly ``size`` n x n samples, plus slack short of one more
+    monkeypatch.setattr(paths, "SAMPLE_BLOCK_BYTES", size * 16 * n * n + 16 * n * n - 1)
+    for count in (1, 3, 4, 5, 16, 17, 65, 129):
+        blocks = paths.sample_blocks(count, n)
+        covered = np.concatenate([np.arange(count)[b] for b in blocks])
+        assert np.array_equal(covered, np.arange(count))
+        lengths = [len(range(count)[b]) for b in blocks]
+        assert len(blocks) == -(-count // size)
+        assert lengths == sorted(lengths, reverse=True) and lengths[0] - lengths[-1] <= 1
+        assert min(lengths) > 0 and max(lengths) <= min(size, count)
+        assert max(lengths) * 16 * n * n <= paths.SAMPLE_BLOCK_BYTES
 
 
 class TestMaxOperatorNorm:
