@@ -13,13 +13,19 @@ one ``matword verify aulpac`` trial at the benchmark's seed-0 shapes (cube,
 m = 2, n = 16; sphere, m = 2, n = 32) and one ``matword scan`` at acceptance
 criterion 8's size (the seed-880000 Ginibre matrix at n = 50,
 a 101x101 Chebyshev grid, eps 0.2) per side, each in a fresh interpreter
-that reports its own peak RSS, the sha256 of its outputs and the scipy
-subpackages it loaded, then the tier-1 suite once per side for its wall time.
+that reports its own peak RSS, the sha256 of its outputs, whether it
+imported scipy at all, the scipy subpackages it loaded and the build string
+of numpy's bundled OpenBLAS, then the tier-1 suite once per side for its
+wall time.  Last, one child on the change's code records the build strings
+of numpy's and scipy's bundled OpenBLAS and compares ``linalg._schur``
+with ``scipy.linalg.schur`` bit for bit (scipy's copy on matword's thread
+count) on 132 seeded matrices, Ginibre, Hermitian and unitary at n = 1-40,
+64, 100, 128 and 256: the two wheels may bundle different OpenBLAS builds.
 The record holds every run, each side's median and quartiles, the change's
 win count, the two parts of ``setup_s`` (the fresh-interpreter import and
 the median input preparation) compared the same way, the decomposed-matrix
 counts, the four fresh-interpreter runs' wall times, peak RSS, digests and
-scipy subpackages, and the environment each side reported (BLAS threads,
+scipy imports, the OpenBLAS builds and the Schur comparison, and the environment each side reported (BLAS threads,
 nproc, git SHA, a digest of its ``src/matword``).  The fresh ULPAC and AULPAC
 trials show what each workload's verify part pays for its imports, which
 ``setup_s`` hides: its median of three in-process preparations runs after
@@ -90,7 +96,8 @@ print(json.dumps({"exit_codes": codes, "by_size": {str(n): c for n, c in sorted(
 # Fresh-interpreter runs of the checkout's own CLI: a child that runs one
 # command, then prints its exit code, its own peak RSS (Linux reports
 # ru_maxrss in KiB), the sha256 of each named output file, without its
-# '#' comment lines, and the public scipy subpackages in sys.modules.  The
+# '#' comment lines, whether scipy is in sys.modules, its public subpackages
+# there, and the build string of numpy's bundled OpenBLAS (None without one).  The
 # runs are one verify trial at the top of desk scale (n = 128, dilated to
 # 256), one verify trial of each of perfbench's ulpac-cube and aulpac-sphere
 # parts at seed 0 and one scan at acceptance criterion 8's size.
@@ -104,10 +111,11 @@ BENCH_AULPAC = ["verify", "aulpac", "--kind", "sphere", "--m", "2", "--n", "32",
 CRITERION_8_SCAN = ["scan", "--eps", "0.2", "--grid", "cheb:101x101",
                     "--bounds", "-1.5,1.5,-1.5,1.5"]
 FRESH_CHILD = r"""
-import contextlib, hashlib, io, json, resource, sys
+import contextlib, ctypes, hashlib, io, json, resource, sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(sys.argv[1]) / "src"))
+import numpy
 import matword.cli
 
 outputs = json.loads(sys.argv[2])
@@ -115,13 +123,78 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = matword.cli.dispatch(sys.argv[3:])
 # read before the digests, which hold whole output files in memory
 maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+scipy_imported = "scipy" in sys.modules
 digests = {name: hashlib.sha256(b"".join(
     line for line in Path(path).read_bytes().splitlines(True) if not line.startswith(b"#")
 )).hexdigest() for name, path in outputs.items()}
 scipy_subpackages = sorted({".".join(m.split(".")[:2]) for m in sys.modules
                            if m.startswith("scipy.") and not m.split(".")[1].startswith("_")})
+numpy_openblas = None
+for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    try:
+        get_config = ctypes.CDLL(str(lib)).scipy_openblas_get_config64_
+    except (OSError, AttributeError):
+        continue
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    numpy_openblas = get_config().decode()
+    break
 print(json.dumps({"exit_code": code, "maxrss_mib": maxrss_mib, "sha256": digests,
-                  "scipy_subpackages": scipy_subpackages}))
+                  "scipy_imported": scipy_imported, "scipy_subpackages": scipy_subpackages,
+                  "numpy_openblas": numpy_openblas}))
+"""
+# The build string of each wheel's bundled OpenBLAS (numpy's is the
+# 64-bit-integer build, symbol suffix 64_; None without one), and how many of
+# 132 seeded matrices get the same T and Q bits from the checkout's
+# linalg._schur as from scipy.linalg.schur, with scipy's copy set to the
+# thread count of numpy's.
+OPENBLAS_CHILD = r"""
+import ctypes, json, sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(sys.argv[1]) / "src"))
+import numpy as np
+import scipy
+import scipy.linalg
+from matword import config, linalg
+from matword.sampling import haar_unitary
+
+
+def bundled(package, suffix):
+    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_config = getattr(lib, f"scipy_openblas_get_config{suffix}")
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_config().decode(), set_threads
+    return None, None
+
+
+numpy_build, _ = bundled(np, "64_")
+scipy_build, scipy_set_threads = bundled(scipy, "")
+if scipy_set_threads is not None and config.blas_threads() is not None:
+    scipy_set_threads(config.blas_threads())
+sizes, same, differing = [*range(1, 41), 64, 100, 128, 256], 0, []
+for kind in ("ginibre", "hermitian", "unitary"):
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = {"ginibre": g / np.sqrt(2 * n), "hermitian": (g + g.conj().T) / 2,
+             "unitary": haar_unitary(rng, n)}[kind]
+        got, want = linalg._schur(a), scipy.linalg.schur(a, output="complex")
+        if all(x.tobytes() == y.tobytes() for x, y in zip(got, want)):
+            same += 1
+        else:
+            differing.append([kind, n])
+print(json.dumps({"numpy_openblas": numpy_build, "scipy_openblas": scipy_build,
+                  "blas_threads": config.blas_threads(),
+                  "zgees": {"kinds": ["ginibre", "hermitian", "unitary"], "sizes": sizes,
+                            "matrices": 3 * len(sizes), "same_bits": same,
+                            "differing": differing}}))
 """
 # Criterion 8's input: the seed-880000 Ginibre matrix at n = 50, saved by the
 # checkout's own writer.
@@ -156,6 +229,12 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 
 def decomposed(root: Path, workload: str) -> dict:
     proc = subprocess.run([sys.executable, "-c", COUNT_DECOMPOSED, str(root), workload],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def openblas(root: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", OPENBLAS_CHILD, str(root)],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -263,6 +342,7 @@ def main(argv=None) -> int:
                                  for side, root in sides.items()}
         entry["decomposed_seed0"] = {side: decomposed(root, w) for side, root in sides.items()}
         result["workloads"][w] = entry
+    result["openblas"] = openblas(sides["change"])
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -13,9 +13,10 @@ CSV body and the triples JSON of ``matword scan`` on the desk-cluster pair
 and on the Ginibre matrix, and the grid JSON of ``matword grid generate``
 followed by three chained ``matword grid refine`` runs on the Ginibre matrix.
 
-The first line records the thread count each bundled OpenBLAS reports
-(``matword.config.blas_threads``); ``import matword`` pins it to
-MATWORD_THREADS, 1 when unset, so the digests do not depend on
+The first line, ``# blas_threads=1`` by default, records the thread count
+of numpy's bundled OpenBLAS, the one library matword runs on
+(``matword.config.blas_threads``, None without one); ``import matword``
+pins it to MATWORD_THREADS, 1 when unset, so the digests do not depend on
 OPENBLAS_NUM_THREADS.
 
 Run:  python scripts/report_digests.py > digests.txt

@@ -76,5 +76,5 @@ from . import config
 
 __version__ = "0.1.0"
 
-# config loads scipy's OpenBLAS itself, so the pin precedes any scipy import
+# pin numpy's bundled OpenBLAS, the one library every matword call runs on
 config.apply_env()

@@ -260,26 +260,28 @@ def _array(dtype, ndim: int):
     return np.ctypeslib.ndpointer(dtype, ndim, flags="F_CONTIGUOUS")
 
 
-_INT = ctypes.POINTER(ctypes.c_int)
+_INT = ctypes.POINTER(ctypes.c_int64)
 # zgees(jobvs, sort, select, n, a, lda, sdim, w, vs, ldvs, work, lwork, rwork,
 # bwork, info), then gfortran's length of each character argument
 _ZGEES = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_void_p, _INT,
           _array(np.complex128, 2), _INT, _INT, _array(np.complex128, 1),
           _array(np.complex128, 2), _INT, _array(np.complex128, 1), _INT,
-          _array(np.float64, 1), _array(np.int32, 1), _INT, ctypes.c_size_t, ctypes.c_size_t]
+          _array(np.float64, 1), _array(np.int64, 1), _INT, ctypes.c_size_t, ctypes.c_size_t]
 
 
 def _schur(a) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form of a square matrix: (T, Q) with Q unitary, T upper
     triangular and a = Q T Q^H.
 
-    Calls LAPACK's zgees in scipy's bundled OpenBLAS step for step as
-    ``scipy.linalg.schur(a, output="complex")`` does, so the arrays are the
-    same bit for bit: a complex Fortran-ordered copy of ``a``, jobvs 'V',
-    sort 'N' with no select function, one workspace query, then the call
-    with the size it returned.  Where scipy bundles no OpenBLAS, this is
-    that scipy call.  A failed QR iteration raises numpy's LinAlgError, as
-    scipy's does.
+    Calls LAPACK's zgees in numpy's bundled OpenBLAS (64-bit integers) step
+    for step as ``scipy.linalg.schur(a, output="complex")`` does, so the
+    arrays are the same bit for bit as that call's wherever both wheels
+    bundle the same OpenBLAS build: a complex Fortran-ordered copy of ``a``,
+    jobvs 'V', sort 'N' with no select function, one workspace query, then
+    the call with the size it returned.  Where numpy bundles no OpenBLAS
+    (MKL, a distribution's build), this is that scipy call, so scipy must
+    be installed there.  A failed QR iteration raises numpy's LinAlgError,
+    as scipy's does.
     """
     zgees = config.lapack("zgees", _ZGEES)
     if zgees is None:
@@ -291,13 +293,13 @@ def _schur(a) -> tuple[np.ndarray, np.ndarray]:
     q = np.empty((n, n), dtype=np.complex128, order="F")
     w = np.empty(n, dtype=np.complex128)
     rwork = np.empty(n)
-    bwork = np.empty(n, dtype=np.int32)
-    order, lead = ctypes.c_int(n), ctypes.c_int(max(n, 1))
-    sdim, info = ctypes.c_int(), ctypes.c_int()
+    bwork = np.empty(n, dtype=np.int64)
+    order, lead = ctypes.c_int64(n), ctypes.c_int64(max(n, 1))
+    sdim, info = ctypes.c_int64(), ctypes.c_int64()
 
     def call(work, lwork: int):
         zgees(b"V", b"N", None, ctypes.byref(order), t, ctypes.byref(lead), ctypes.byref(sdim),
-              w, q, ctypes.byref(lead), work, ctypes.byref(ctypes.c_int(lwork)), rwork, bwork,
+              w, q, ctypes.byref(lead), work, ctypes.byref(ctypes.c_int64(lwork)), rwork, bwork,
               ctypes.byref(info), 1, 1)
 
     query = np.empty(1, dtype=np.complex128)

@@ -424,13 +424,13 @@ class TestCli:
                  "--grid", "cheb:5x5", "--bounds", "-2,2,-2,2", "--out", str(out)]
             ) == 0
             if config.blas_threads() is None:
-                pytest.skip("numpy and scipy do not bundle OpenBLAS here")
-            assert config.blas_threads() == {"numpy": expected, "scipy": expected}
+                pytest.skip("numpy does not bundle OpenBLAS here")
+            assert config.blas_threads() == expected
 
     def test_thread_count_capped_at_usable_cores(self, monkeypatch):
         counts = []
-        fake = config._OpenBLAS("fake", None, counts.append, lambda: counts[-1], default=1)
-        monkeypatch.setattr(config, "_libraries", [fake])
+        fake = config._OpenBLAS(None, counts.append, lambda: counts[-1], default=1)
+        monkeypatch.setattr(config, "_bundled", lambda: fake)
         cores = len(os.sched_getaffinity(0))
         config.set_threads(2**40)
         config.set_threads(cores + 1)

@@ -1,3 +1,7 @@
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -275,7 +279,28 @@ class TestPrincipalUnitaryLog:
             principal_unitary_log(np.diag([-1.0, 1.0]))
 
 
+@functools.cache
+def scipy_openblas_set_threads():
+    """Thread-count setter of scipy's bundled OpenBLAS (32-bit integers, no
+    symbol suffix), the copy scipy.linalg calls; None where scipy bundles none."""
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return setter
+    return None
+
+
 def scipy_schur(a):
+    """The oracle: scipy.linalg.schur(a, output="complex"), with scipy's own
+    OpenBLAS on as many threads as matword's.  matword pins only numpy's copy,
+    and scipy's zgees gives other bits on two threads than on one (n >= 100)."""
+    setter, threads = scipy_openblas_set_threads(), config.blas_threads()
+    if setter is not None and threads is not None:
+        setter(threads)
     return scipy.linalg.schur(a, output="complex")
 
 
@@ -328,15 +353,16 @@ class TestSchur:
     def test_fallback_without_a_bundled_openblas_is_scipy(self, monkeypatch):
         a = self._input("ginibre", np.random.default_rng(5), 12)
         bundled = linalg._schur(a)
-        monkeypatch.setattr(config, "_libraries", [])
+        monkeypatch.setattr(config, "_bundled", lambda: None)
         assert config.lapack("zgees", linalg._ZGEES) is None
+        assert config.blas_threads() is None
         assert_same_arrays(linalg._schur(a), bundled)
         assert_same_arrays(linalg._schur(a), scipy_schur(a))
 
     def test_failed_iteration_raises_linalg_error(self, monkeypatch):
         zgees = config.lapack("zgees", linalg._ZGEES)
         if zgees is None:
-            pytest.skip("scipy does not bundle OpenBLAS here")
+            pytest.skip("numpy does not bundle OpenBLAS here")
 
         def failing(*args):
             zgees(*args)
