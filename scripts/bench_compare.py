@@ -16,7 +16,10 @@ a 101x101 Chebyshev grid, eps 0.2) per side, each in a fresh interpreter
 that reports its own peak RSS, the sha256 of its outputs, whether it
 imported scipy at all, the scipy subpackages it loaded and the build string
 of numpy's bundled OpenBLAS, then the tier-1 suite once per side for its
-wall time.  Last, one child on the change's code records the build strings
+wall time, then three alternating rounds per side of a child that loads a
+desk-style pair at n = 16, 100 and 256 with the checkout's
+``io.load_matrices`` and reports the traced peak, the load times and a
+digest of the arrays.  Last, one child on the change's code records the build strings
 of numpy's and scipy's bundled OpenBLAS and compares ``linalg._schur``
 with ``scipy.linalg.schur`` bit for bit (scipy's copy on matword's thread
 count) on 132 seeded matrices, Ginibre, Hermitian and unitary at n = 1-40,
@@ -25,7 +28,7 @@ The record holds every run, each side's median and quartiles, the change's
 win count, the two parts of ``setup_s`` (the fresh-interpreter import and
 the median input preparation) compared the same way, the decomposed-matrix
 counts, the four fresh-interpreter runs' wall times, peak RSS, digests and
-scipy imports, the OpenBLAS builds and the Schur comparison, and the environment each side reported (BLAS threads,
+scipy imports, the loader rounds, the OpenBLAS builds and the Schur comparison, and the environment each side reported (BLAS threads,
 nproc, git SHA, a digest of its ``src/matword``).  The fresh ULPAC and AULPAC
 trials show what each workload's verify part pays for its imports, which
 ``setup_s`` hides: its median of three in-process preparations runs after
@@ -196,6 +199,43 @@ print(json.dumps({"numpy_openblas": numpy_build, "scipy_openblas": scipy_build,
                             "matrices": 3 * len(sizes), "same_bits": same,
                             "differing": differing}}))
 """
+# io.load_matrices on a desk-style pair (perfbench's clustered_pair, seed 1)
+# at n = 16, 100 and 256, written by the checkout's own writer: the
+# tracemalloc peak of one load after a first one, that peak over the file's
+# bytes plus the arrays' bytes, the minimum and median of 30 timed loads, and
+# the sha256 of the loaded arrays.
+LOADER_CHILD = r"""
+import hashlib, json, sys, tempfile, time, tracemalloc
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+from matword import io
+from workloads import clustered_pair
+
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for n, clusters in ((16, 4), (100, 10), (256, 8)):
+        path = Path(tmp, "pair.json")
+        io.save_matrices(path, clustered_pair(n, clusters, 1), names=["X", "Y"])
+        mats = io.load_matrices(path)
+        tracemalloc.start()
+        io.load_matrices(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        times = []
+        for _ in range(30):
+            start = time.perf_counter()
+            io.load_matrices(path)
+            times.append(time.perf_counter() - start)
+        times.sort()
+        size = path.stat().st_size
+        out[n] = {"file_bytes": size, "peak_mib": peak / 2**20,
+                  "peak_ratio": peak / (size + sum(m.nbytes for m in mats)),
+                  "min_ms": times[0] * 1e3, "median_ms": times[15] * 1e3,
+                  "sha256": hashlib.sha256(b"".join(m.tobytes() for m in mats)).hexdigest()}
+print(json.dumps(out))
+"""
 # Criterion 8's input: the seed-880000 Ginibre matrix at n = 50, saved by the
 # checkout's own writer.
 CRITERION_8_INPUT = r"""
@@ -229,6 +269,12 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 
 def decomposed(root: Path, workload: str) -> dict:
     proc = subprocess.run([sys.executable, "-c", COUNT_DECOMPOSED, str(root), workload],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loader(root: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", LOADER_CHILD, str(root)],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -342,6 +388,10 @@ def main(argv=None) -> int:
                                  for side, root in sides.items()}
         entry["decomposed_seed0"] = {side: decomposed(root, w) for side, root in sides.items()}
         result["workloads"][w] = entry
+    result["loader"] = {side: [] for side in sides}
+    for k in range(3):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            result["loader"][side].append(loader(sides[side]))
     result["openblas"] = openblas(sides["change"])
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -6,6 +6,18 @@ tolerances rather than trusting stored ones.  Report files carry no
 timestamps in their bodies, so identical inputs reproduce identical bytes;
 CSV files may carry a leading '#' comment line which parsers skip.
 
+Every JSON file is read by ``_load_json``.  Each ``entries`` or ``nodes``
+value that is a plain JSON array of ``[number, number]`` pairs goes to
+numpy's C float parser, 64 KiB of its text at a time, and ``json.loads``
+parses the rest of the document, so no Python list or float is built per
+entry.  A value with anything else in it, with text outside the JSON
+grammar that strtod would still read (``+1``, ``01``, ``1.``, ``.5``), with
+a value that is not finite or with a ``-0`` integer (``json`` reads it as
++0.0, strtod as -0.0) is left to ``json.loads``, and a document that
+``json.loads`` then refuses is read again as plain JSON.  Every file thus
+gives the arrays, bit for bit, and the errors that ``json.loads`` and one
+list per pair give.
+
 Every JSON file is written by ``_write_json``, with the bytes of
 ``json.dumps(doc, sort_keys=True)``.  The large documents (the scan triples,
 the matrix container and the sampled paths) hand it their lists as
@@ -21,6 +33,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from collections.abc import Iterator
 from itertools import groupby
 from pathlib import Path
@@ -73,8 +87,12 @@ def _pairs(values: np.ndarray) -> _Text:
 
 
 def _from_pairs(pairs, count: int, what: str) -> np.ndarray:
+    """Complex entries from the parsed JSON list of [re, im] pairs, or from the
+    finite (count, 2) floats that ``_pair_floats`` read."""
     if len(pairs) != count:
         raise FileFormatError(f"{what}: expected {count} entries, found {len(pairs)}")
+    if isinstance(pairs, np.ndarray):
+        return pairs.view(complex).reshape(count)
     out = np.empty(count, dtype=complex)
     try:
         arr = np.array(pairs, dtype=float)
@@ -182,12 +200,142 @@ def save_matrices(path, matrices, names=None, meta: dict | None = None):
     _write_json(path, doc)
 
 
-def _load_json(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+_JSON_WS = b" \t\n\r"
+# an entries or nodes key whose value opens like an array of arrays; group 1
+# is the outer bracket
+_PAIRS_KEY = re.compile(rb'"(?:entries|nodes)"[ \t\n\r]*:[ \t\n\r]*(\[)[ \t\n\r]*\[')
+_PAIRS_END = re.compile(rb"\][ \t\n\r]*\]")
+_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
+# bytes of pair text checked and parsed at a time
+_PAIRS_PIECE = 1 << 16
+
+# byte classes; the ones below _OTHER make up numbers
+_PLUS, _DOT, _SIGN, _EXP, _ZERO, _DIGIT, _OTHER, _OPEN, _COMMA, _CLOSE = range(10)
+_CLASSES = bytes({**dict.fromkeys(b"123456789", _DIGIT), ord("0"): _ZERO, ord("+"): _PLUS,
+                  ord("."): _DOT, ord("-"): _SIGN, ord("e"): _EXP, ord("E"): _EXP,
+                  ord("["): _OPEN, ord(","): _COMMA, ord("]"): _CLOSE}.get(i, _OTHER)
+                 for i in range(256))
+
+
+def _json_numbers(c: np.ndarray, at: np.ndarray) -> bool:
+    """Whether the runs of number bytes in ``c``, the byte classes of pair
+    text without whitespace, are JSON numbers other than the integer -0,
+    given that C's strtod reads each one whole.  ``at`` holds the positions
+    of all other bytes, the first and the last byte among them.  A number
+    follows an opening bracket or a comma and starts with a digit, a lone 0,
+    or a minus sign and either; it ends in a digit before a comma or a
+    closing bracket, and has no point right before its exponent."""
+    before, after = c[at[1:] - 1], c[at[1:]]
+    ends = (before >= _OTHER) | ((before >= _ZERO) & (after >= _COMMA))
+    q = at[:-1]
+    x, n1, n2, n3 = c[q], c[q + 1], c.take(q + 2, mode="clip"), c.take(q + 3, mode="clip")
+    signed = (n1 == _SIGN) & ((n2 == _DIGIT) | ((n2 == _ZERO) & ((n3 == _DOT) | (n3 == _EXP))))
+    first = (n1 == _DIGIT) | ((n1 == _ZERO) & (n2 != _ZERO) & (n2 != _DIGIT)) | signed
+    starts = (n1 >= _OTHER) | (((x == _OPEN) | (x == _COMMA)) & first)
+    return bool(ends.all() and starts.all() and not ((c[1:] == _EXP) & (c[:-1] == _DOT)).any())
+
+
+def _floats(text: bytes) -> np.ndarray | None:
+    """The comma-separated numbers of ``text``, or None where C's strtod does
+    not read each one whole."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: parse error at byte offset {exc.pos}: {exc.msg}") from exc
+        with warnings.catch_warnings():  # older numpy warns, and keeps what it read
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.fromstring(text, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _pair_floats(raw: bytes, a: int):
+    """``(values, b)`` when ``raw[a:b + 1]`` is a JSON array of k [number,
+    number] pairs, ``values`` being their (k, 2) floats, all finite, with no
+    -0 integer among them; otherwise None.  The text is checked and parsed a
+    piece of about 64 KiB at a time, each piece ending at a comma."""
+    skeleton, values, s = [], [], a
+    while True:
+        e = raw.find(b",", s + _PAIRS_PIECE)
+        e = len(raw) - 1 if e < 0 else e
+        c = np.frombuffer(raw[s:e + 1].translate(_CLASSES, _JSON_WS), np.uint8)
+        at = np.flatnonzero(c >= _OTHER)  # brackets, commas and bytes outside numbers
+        sk = c[at].tobytes()
+        last = sk.find(bytes((_CLOSE, _CLOSE)))
+        if last >= 0:  # the array ends in this piece
+            end = _PAIRS_END.search(raw, s, e + 1)
+            if end is None:
+                return None
+            e = end.end() - 1
+            at, sk = at[:last + 2], sk[:last + 2]
+            c = c[:at[-1] + 1]
+        elif e == len(raw) - 1:
+            return None
+        if not _json_numbers(c, at):
+            return None
+        v = _floats(raw[s + 1:e].translate(_BRACKETS_AS_SPACES))
+        if v is None or not np.isfinite(v).all():
+            return None
+        values.append(v)
+        # a piece after the first starts at the comma the one before ended at
+        skeleton.append(sk if s == a else sk[1:])
+        if last >= 0:
+            break
+        s = e
+    skeleton = b"".join(skeleton)
+    k = (len(skeleton) - 1) // 4
+    values = np.concatenate(values)
+    pairs = (b"[" + b"[,]," * (k - 1) + b"[,]]").translate(_CLASSES)
+    if skeleton != pairs or len(values) != 2 * k:
+        return None
+    return values.reshape(k, 2), e
+
+
+def _parse_pairs_fast(raw: bytes):
+    """The document in ``raw`` with each entries or nodes value that
+    ``_pair_floats`` reads replaced by its floats, or None when no value is
+    read that way or the rest is not valid JSON."""
+    pieces, arrays, pos = [], [], 0
+    m = _PAIRS_KEY.search(raw)
+    while m:
+        found = None
+        if raw[m.start() - 1:m.start()] != b"\\":  # not an escaped quote
+            found = _pair_floats(raw, m.start(1))
+        if found is None:
+            m = _PAIRS_KEY.search(raw, m.end())
+            continue
+        pairs, b = found
+        pieces += [raw[pos:m.start(1)], b'"\\u0000%d"' % len(arrays)]
+        arrays.append(pairs)
+        pos = b + 1
+        m = _PAIRS_KEY.search(raw, pos)
+    if not arrays:
+        return None
+    pieces.append(raw[pos:])
+    text = b"".join(pieces)
+    # each placeholder string starts with U+0000, which no other string may hold
+    if text.count(b"\\u0000") != len(arrays):
+        return None
+
+    def restore(obj):
+        for key in ("entries", "nodes"):
+            v = obj.get(key)
+            if isinstance(v, str) and v.startswith("\0"):
+                obj[key] = arrays[int(v[1:])]
+        return obj
+
+    try:
+        return json.loads(text.decode("utf-8"), object_hook=restore)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _load_json(path) -> dict:
+    doc = _parse_pairs_fast(Path(path).read_bytes())
+    if doc is None:
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(
+                f"{path}: parse error at byte offset {exc.pos}: {exc.msg}") from exc
     return _require(doc, path)
 
 

@@ -183,3 +183,11 @@ def test_the_reference_walk_sees_wrapped_and_called_names():
     assert {"apply_env", "nearby_commuting_unitary"} <= refs
     assert "path_length" not in refs
     assert list(_names(ast.parse('"paths.curved_path"'))) == ["paths", "curved_path"]
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    minimum = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                        (ROOT / "pyproject.toml").read_text())
+    version = tuple(int(v) for v in minimum.groups())
+    for path in sorted((ROOT / "src" / "matword").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
