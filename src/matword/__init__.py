@@ -72,9 +72,8 @@ from .words import (
     variety_membership,
 )
 
+# importing config pins numpy's bundled OpenBLAS, the one library every
+# matword call runs on, to one thread
 from . import config
 
 __version__ = "0.1.0"
-
-# pin numpy's bundled OpenBLAS, the one library every matword call runs on
-config.apply_env()

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config, io
+from . import io
 from .deformation import (
     InstanceSpec,
     connect_algebraic,
@@ -140,9 +140,9 @@ def _cmd_lemniscate(args) -> int:
     p = io.load_poly(args.poly) if args.poly.endswith(".json") else io.parse_poly_literal(args.poly)
     grid = _parse_grid_arg(args.grid, _parse_bounds(args.bounds))
     field = lemniscate_field(p, grid)
+    contours = lemniscate_contours(field, args.level)
     if args.field:
         io.write_field_csv(args.field, field, header=f"lemniscate {_stamp()}")
-    contours = lemniscate_contours(field, args.level)
     io.write_contours_csv(args.out, contours, header=f"lemniscate {_stamp()}")
     print(f"{len(contours)} contour(s) -> {args.out}")
     return EXIT_OK
@@ -242,9 +242,6 @@ def _cmd_words(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command tree, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="matword", description=__doc__)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="BLAS threads (0 = the library's default); falls back to "
-                         "MATWORD_THREADS, then 1")
     sub = ap.add_subparsers(dest="command")
 
     # the seeded instance recipe that verify and generate share
@@ -356,7 +353,6 @@ def dispatch(argv) -> int:
         ap.print_usage()
         return EXIT_USAGE
     try:
-        config.set_threads(config.env_threads() if args.threads is None else args.threads)
         return args.func(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -256,17 +256,15 @@ def normality_defect(a) -> float:
     return operator_norm(commutator(a, a.conj().T))
 
 
-def _array(dtype, ndim: int):
-    return np.ctypeslib.ndpointer(dtype, ndim, flags="F_CONTIGUOUS")
-
-
 _INT = ctypes.POINTER(ctypes.c_int64)
+_PTR = ctypes.c_void_p
 # zgees(jobvs, sort, select, n, a, lda, sdim, w, vs, ldvs, work, lwork, rwork,
-# bwork, info), then gfortran's length of each character argument
-_ZGEES = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_void_p, _INT,
-          _array(np.complex128, 2), _INT, _INT, _array(np.complex128, 1),
-          _array(np.complex128, 2), _INT, _array(np.complex128, 1), _INT,
-          _array(np.float64, 1), _array(np.int64, 1), _INT, ctypes.c_size_t, ctypes.c_size_t]
+# bwork, info), then gfortran's length of each character argument.  Arrays go
+# in as their addresses (``arr.ctypes.data``): numpy's ndpointer ties each
+# array it passes into a reference cycle, so every call's arrays would stay
+# alive until the cyclic garbage collector ran
+_ZGEES = [ctypes.c_char_p, ctypes.c_char_p, _PTR, _INT, _PTR, _INT, _INT, _PTR, _PTR, _INT,
+          _PTR, _INT, _PTR, _PTR, _INT, ctypes.c_size_t, ctypes.c_size_t]
 
 
 def _schur(a) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +296,10 @@ def _schur(a) -> tuple[np.ndarray, np.ndarray]:
     sdim, info = ctypes.c_int64(), ctypes.c_int64()
 
     def call(work, lwork: int):
-        zgees(b"V", b"N", None, ctypes.byref(order), t, ctypes.byref(lead), ctypes.byref(sdim),
-              w, q, ctypes.byref(lead), work, ctypes.byref(ctypes.c_int64(lwork)), rwork, bwork,
-              ctypes.byref(info), 1, 1)
+        zgees(b"V", b"N", None, ctypes.byref(order), t.ctypes.data, ctypes.byref(lead),
+              ctypes.byref(sdim), w.ctypes.data, q.ctypes.data, ctypes.byref(lead),
+              work.ctypes.data, ctypes.byref(ctypes.c_int64(lwork)), rwork.ctypes.data,
+              bwork.ctypes.data, ctypes.byref(info), 1, 1)
 
     query = np.empty(1, dtype=np.complex128)
     call(query, -1)

@@ -89,10 +89,19 @@ class ScanTriple:
     residual: float
 
 
+def _is_rectangle(x0, x1, y0, y1) -> bool:
+    """x0 < x1 and y0 < y1, with every node of the rectangle and of its
+    quadtree cells finite: chebyshev_points forms (b - a) * (ref + 1), and a
+    cell's midpoint is (a + b) / 2."""
+    x0, x1, y0, y1 = (float(b) for b in (x0, x1, y0, y1))
+    spans = (2 * (x1 - x0), 2 * (y1 - y0), x0 + x1, y0 + y1)
+    return x1 > x0 and y1 > y0 and bool(np.isfinite(spans).all())
+
+
 def _validate_bounds(bounds: Bounds) -> Bounds:
     x0, x1, y0, y1 = (float(b) for b in bounds)
-    if not (x1 > x0 and y1 > y0 and np.isfinite([x0, x1, y0, y1]).all()):
-        raise GridError(f"degenerate or unbounded rectangle {bounds}")
+    if not _is_rectangle(x0, x1, y0, y1):
+        raise GridError(f"degenerate, unbounded or overflowing rectangle {bounds}")
     return (x0, x1, y0, y1)
 
 
@@ -165,10 +174,13 @@ def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D
     has sigma(w) - |z - w| above the threshold by more than the SVD's
     rounding error: the decisions, and so the grid, are those of the full
     field.  Cells already at ``max_depth`` are kept; when nothing qualifies
-    the grid is returned unchanged.  The threshold must be positive.
+    the grid is returned unchanged.  The threshold must be positive and
+    ``max_depth`` non-negative.
     """
     if not threshold > 0:
         raise GridError(f"threshold must be positive, got {threshold!r}")
+    if max_depth < 0:
+        raise GridError(f"max_depth must be >= 0, got {max_depth}")
     if grid.kind != "quadtree" or grid.cells is None:
         raise GridError("refinement needs a quadtree grid")
     z = grid.nodes

@@ -1,4 +1,6 @@
-"""What a fresh interpreter loads, and that the Schur forms run on the pinned OpenBLAS.
+"""What a fresh interpreter loads, that it runs numpy's bundled OpenBLAS on
+one thread whatever the environment says, and that the Schur forms run on
+that pinned copy.
 
 ``import matword`` loads numpy and matword only, and no command loads scipy
 or maps a file of scipy's wheel: the Schur forms call LAPACK's zgees in
@@ -45,8 +47,7 @@ print(code, "scipy" in sys.modules, mapped)
 
 
 def run_probe(code, *args, **env):
-    full_env = {k: v for k, v in os.environ.items() if k != "MATWORD_THREADS"}
-    full_env.update(PYTHONPATH=str(SRC), **env)
+    full_env = {**os.environ, "PYTHONPATH": str(SRC), **env}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=full_env,
                           capture_output=True, text=True, timeout=300, check=True)
     return proc.stdout
@@ -117,3 +118,10 @@ def test_schur_forms_run_on_the_pinned_openblas():
     outputs = [run_probe(_SCHUR_PROBE, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
     assert outputs[0].splitlines()[0] == "1 False"
     assert outputs[0] == outputs[1]
+
+
+def test_import_pins_one_blas_thread_whatever_the_environment():
+    if config.blas_threads() is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    probe = "import matword; print(matword.config.blas_threads())"
+    assert run_probe(probe, OPENBLAS_NUM_THREADS="2", MATWORD_THREADS="2") == "1\n"

@@ -1,37 +1,17 @@
 import itertools
 import json
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from matword import config, io
+from matword import io
 from matword.cli import dispatch
 from matword.linalg import NormalTuple
 from matword.minpoly import PolyC
 from matword.pseudospectra import ScanTriple
 from matword.sampling import commuting_hermitian_tuple, random_hermitian
 from matword.words import NCPolySystem, WordSpec, commutator_system
-
-
-def openblas_default_threads() -> int:
-    """Thread count OpenBLAS starts with: its first environment setting,
-    capped at the usable cores, else one per usable core."""
-    cores = len(os.sched_getaffinity(0))
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cores)
-    return cores
-
-
-@pytest.fixture
-def restore_threads():
-    """Put the BLAS thread count back to what ``import matword`` set; request
-    it before ``monkeypatch`` so the environment is restored first."""
-    yield
-    config.apply_env()
 
 
 def csv_data_rows(path):
@@ -411,49 +391,6 @@ class TestCli:
         argv = ["words", "membership", "--input", str(inp), "--system", str(sysf)]
         self._assert_usage_error(capsys, argv, f"{sysf}: polynomial 0: coefficient [1.0]")
 
-    def test_threads_flag_accepted(self, tmp_path, restore_threads):
-        a = tmp_path / "a.json"
-        io.save_matrices(a, np.diag([0.0, 1.0]))
-        out = tmp_path / "f.csv"
-        # each step changes the count from the one before (the import sets 1)
-        # wherever there are two usable cores; counts are capped at the cores
-        two = min(2, len(os.sched_getaffinity(0)))
-        for threads, expected in (("2", two), ("1", 1), ("0", openblas_default_threads())):
-            assert dispatch(
-                ["--threads", threads, "scan", "--input", str(a), "--eps", "0.5",
-                 "--grid", "cheb:5x5", "--bounds", "-2,2,-2,2", "--out", str(out)]
-            ) == 0
-            if config.blas_threads() is None:
-                pytest.skip("numpy does not bundle OpenBLAS here")
-            assert config.blas_threads() == expected
-
-    def test_thread_count_capped_at_usable_cores(self, monkeypatch):
-        counts = []
-        fake = config._OpenBLAS(None, counts.append, lambda: counts[-1], default=1)
-        monkeypatch.setattr(config, "_bundled", lambda: fake)
-        cores = len(os.sched_getaffinity(0))
-        config.set_threads(2**40)
-        config.set_threads(cores + 1)
-        monkeypatch.setenv("MATWORD_THREADS", str(cores + 1))
-        config.apply_env()
-        config.set_threads(0)
-        assert counts == [cores, cores, cores, 1]
-
-    def test_negative_threads_is_usage_error(self, tmp_path, capsys, restore_threads):
-        out = tmp_path / "g.json"
-        assert dispatch(["--threads", "-1", "grid", "generate", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: thread count must be >= 0")
-        assert not out.exists()
-
-    def test_malformed_threads_env_is_usage_error(
-        self, tmp_path, capsys, restore_threads, monkeypatch
-    ):
-        monkeypatch.setenv("MATWORD_THREADS", "two")
-        out = tmp_path / "g.json"
-        assert dispatch(["grid", "generate", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: MATWORD_THREADS must be an integer")
-        assert not out.exists()
-
     def _assert_usage_error(self, capsys, argv, flag):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
@@ -505,6 +442,37 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_negative_refine_depth_is_usage_error(self, tmp_path, capsys):
+        a, g, out = tmp_path / "a.json", tmp_path / "g.json", tmp_path / "r.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--out", str(g)]) == 0
+        self._assert_usage_error(
+            capsys, ["grid", "refine", "--grid-file", str(g), "--input", str(a),
+                     "--max-depth", "-3", "--out", str(out)], "max_depth must be >= 0"
+        )
+        assert not out.exists()
+
+    # each rectangle has finite bounds, but (b - a) * 2 or a + b overflows;
+    # a numpy RuntimeWarning on stderr fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bounds", ["-1e308,1e308,0,1", "0,1,-1e308,1e308",
+                                        "1e308,1.7e308,0,1", "-1.7e308,-1e308,0,1"])
+    @pytest.mark.parametrize("command", [
+        ["grid", "generate", "--grid", "quad:1", "--out", "g.json"],
+        ["scan", "--input", "a.json", "--eps", "0.5", "--grid", "cheb:5x5", "--out", "f.csv"],
+        ["lemniscate", "--poly", "z^2-1", "--grid", "cheb:5x5", "--level", "0.5",
+         "--out", "c.csv", "--field", "l.csv"],
+    ], ids=["grid", "scan", "lemniscate"])
+    def test_overflowing_rectangle_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, bounds):
+        monkeypatch.chdir(tmp_path)
+        io.save_matrices("a.json", np.diag([0.1, 0.2]))
+        assert dispatch([*command, "--bounds", bounds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate, unbounded or overflowing rectangle")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
     # every threshold flag, with the rest of a command that would otherwise run;
     # '--flag=value' so that argparse reads '-inf' as the value
     _THRESHOLDS = {
@@ -512,7 +480,8 @@ class TestCli:
                        "--bounds", "-1,1,-1,1", "--out", "f.csv"],
         "minpoly --delta": ["minpoly", "--input", "a.json", "--delta={}", "--out", "p.json"],
         "lemniscate --level": ["lemniscate", "--poly", "z^2-1", "--bounds", "-1,1,-1,1",
-                               "--grid", "cheb:5x5", "--level={}", "--out", "c.csv"],
+                               "--grid", "cheb:5x5", "--level={}", "--out", "c.csv",
+                               "--field", "l.csv"],
         "grid refine --threshold": ["grid", "refine", "--grid-file", "g.json", "--input",
                                     "a.json", "--threshold={}", "--out", "r.json"],
         "deform --eps": ["deform", "gujc", "--x", "a.json", "--y", "a.json", "--eps={}",

@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,19 @@ class TestSchur:
         assert config.blas_threads() is None
         assert_same_arrays(linalg._schur(a), bundled)
         assert_same_arrays(linalg._schur(a), scipy_schur(a))
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would keep the call's arrays alive until the cyclic collector ran
+        if config.blas_threads() is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        a = self._input("ginibre", np.random.default_rng(3), 16)
+        gc.collect()
+        gc.disable()
+        try:
+            linalg._schur(a)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_failed_iteration_raises_linalg_error(self, monkeypatch):
         zgees = config.lapack("zgees", linalg._ZGEES)
