@@ -1,111 +1,81 @@
-"""Real Clifford algebra generators and the induced metric on matrix tuples.
+"""Complex Clifford algebra generators and the induced metric on matrix tuples.
 
-The algebra with N anticommuting generators squaring to -1 is represented by
-left multiplication on its own 2^N-dimensional basis, indexed by subsets of
-{1..N} encoded as bitmasks.  Generator matrices are signed permutations with
-integer entries, so the defining relations hold exactly.
+The algebra with N anticommuting generators squaring to -1 is represented
+irreducibly on C^(2^floor(N/2)): generator j is -i gamma_j, where gamma_j
+are Jordan-Wigner products of Pauli matrices.  Entries lie in {0, +-1, +-i},
+so the defining relations hold exactly.  For odd N the other irreducible
+representation gives the negative Clifford operator, and the left-regular
+one a sum of copies of both, so every norm is the same in each (Loring,
+"K-theory and pseudospectra for topological insulators", Ann. Phys. 356, 2015).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock
+from functools import cache, reduce
 
 import numpy as np
 
 from .linalg import LinalgError, _as_matrix_list, as_square
 
 MAX_GENERATORS = 12
+MAX_ROWS = 4096  # the largest operator clifford_norm decomposes densely
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
 class CliffordRep:
-    """Left-regular representation: one signed-permutation matrix per generator."""
+    """Irreducible representation: one read-only matrix per generator."""
 
     nvars: int
     generators: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
-        return 2**self.nvars
+        return 2 ** (self.nvars // 2)
 
 
-_CACHE: dict[int, CliffordRep] = {}
-_CACHE_LOCK = Lock()
-
-
-def _left_multiplier(j: int, nvars: int) -> np.ndarray:
-    """Matrix of left multiplication by generator j on the subset basis."""
-    size = 2**nvars
-    bit = 1 << (j - 1)
-    below = bit - 1
-    g = np.zeros((size, size), dtype=np.int64)
-    for col in range(size):
-        sign = -1 if (col & below).bit_count() % 2 else 1
-        if col & bit:
-            sign = -sign  # generator squares to -1
-        g[col ^ bit, col] = sign
-    return g
-
-
+@cache
 def clifford_generators(nvars: int) -> CliffordRep:
-    """Generators of the real Clifford algebra on ``nvars`` symbols."""
+    """Generators of the complex Clifford algebra on ``nvars`` symbols."""
     if not 1 <= nvars <= MAX_GENERATORS:
         raise LinalgError(f"generator count must be in 1..{MAX_GENERATORS}, got {nvars}")
-    with _CACHE_LOCK:
-        rep = _CACHE.get(nvars)
-        if rep is None:
-            gens = tuple(_left_multiplier(j, nvars) for j in range(1, nvars + 1))
-            for g in gens:
-                g.flags.writeable = False
-            rep = CliffordRep(nvars, gens)
-            _CACHE[nvars] = rep
-    return rep
+    k = nvars // 2
+    eye = np.eye(2, dtype=complex)
+    factors = [[_PAULI_Z] * q + [pauli] + [eye] * (k - q - 1)
+               for q in range(k) for pauli in (_PAULI_X, _PAULI_Y)]
+    if nvars % 2:
+        factors.append([_PAULI_Z] * k)
+    gens = tuple(-1j * reduce(np.kron, f, np.eye(1, dtype=complex)) for f in factors)
+    for g in gens:
+        g.flags.writeable = False
+    return CliffordRep(nvars, gens)
 
 
 def clifford_operator(mats) -> np.ndarray:
-    """i * sum_j X_j (x) e_j acting on C^n tensored with the algebra."""
+    """i * sum_j X_j (x) e_j acting on C^n tensored with the representation."""
     mats = _as_matrix_list(mats)
     if not mats:
         raise LinalgError("empty tuple")
     rep = clifford_generators(len(mats))
-    n = mats[0].shape[0]
-    out = np.zeros((n * rep.dim, n * rep.dim), dtype=complex)
-    for x, g in zip(mats, rep.generators):
-        out += 1j * np.kron(as_square(x), g.astype(float))
-    return out
-
-
-def _power_iteration_norm(a: np.ndarray) -> float:
-    """Power iteration on A* A: at most 1000 steps, to a 1e-8 relative change."""
-    n = a.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    b = a.conj().T @ a
-    lam = 0.0
-    for _ in range(1000):
-        w = b @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(np.real(np.vdot(v, b @ v)))
-        if abs(new_lam - lam) <= 1e-8 * max(new_lam, 1e-300):
-            lam = new_lam
-            break
-        lam = new_lam
-    return float(np.sqrt(max(lam, 0.0)))
+    return sum(np.kron(as_square(x), 1j * g) for x, g in zip(mats, rep.generators))
 
 
 def clifford_norm(mats) -> float:
-    """Operator norm of the Clifford operator of a tuple, exact up to 4096 rows.
+    """Operator norm of the Clifford operator of a tuple: one dense SVD.
 
-    Above 4096 rows it is a power-iteration estimate, stopped at a 1e-8
-    relative change of the Rayleigh quotient, and not a bound.
+    An operator of more than MAX_ROWS rows is refused with LinalgError
+    before it is built.
     """
-    op = clifford_operator(mats)
-    if op.shape[0] <= 4096:
-        return float(np.linalg.norm(op, 2))
-    return _power_iteration_norm(op)
+    mats = _as_matrix_list(mats)
+    if mats:
+        rows = mats[0].shape[0] * clifford_generators(len(mats)).dim
+        if rows > MAX_ROWS:
+            raise LinalgError(f"Clifford operator of {rows} rows exceeds {MAX_ROWS}")
+    return float(np.linalg.norm(clifford_operator(mats), 2))
 
 
 def clifford_distance(s, t) -> float:
@@ -121,6 +91,7 @@ def clifford_distance(s, t) -> float:
 __all__ = [
     "CliffordRep",
     "MAX_GENERATORS",
+    "MAX_ROWS",
     "clifford_distance",
     "clifford_generators",
     "clifford_norm",

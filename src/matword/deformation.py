@@ -238,9 +238,13 @@ class DeformationResult:
         }
 
 
-def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:
+def _check_pair(x: NormalTuple, y: NormalTuple):
     if x.arity != y.arity or x.dim != y.dim:
         raise DeformationError("tuples must share arity and dimension")
+
+
+def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:
+    _check_pair(x, y)
     return max(operator_norm(a - b) for a, b in zip(x, y))
 
 
@@ -336,6 +340,7 @@ def _assemble_result(
 
 
 def _check_endpoint_residuals(polys, x, y, bound: float, reason: str):
+    _check_pair(x, y)
     for j, p in enumerate(polys):
         for t, name in ((x, "X"), (y, "Y")):
             r = poly_residual(p, t[j])

@@ -43,7 +43,7 @@ import numpy as np
 
 from .linalg import NormalTuple, as_square, frozen
 from .minpoly import PolyC
-from .pseudospectra import Grid2D, QuadCell, ScalarField2D, ScanTriple, _validate_bounds
+from .pseudospectra import Grid2D, QuadCell, ScalarField2D, ScanTriple, _is_rectangle, _validate_bounds
 
 MATRIX_FORMAT = "matword-matrix-v1"
 POLY_FORMAT = "matword-poly-v1"
@@ -485,7 +485,8 @@ def _finite_number(v) -> bool:
 
 
 def _quad_cells(cells, path) -> tuple:
-    """Cells as parsed, once each is 4 finite coordinates and an integer depth >= 0."""
+    """Cells as parsed, once each is 4 finite coordinates of a rectangle that
+    _validate_bounds would accept and an integer depth >= 0."""
     out = []
     for i, c in enumerate(cells):
         if not (isinstance(c, list) and len(c) == 5 and all(_finite_number(v) for v in c)
@@ -494,6 +495,11 @@ def _quad_cells(cells, path) -> tuple:
                 f"{path}: cell {i} is not [x0, x1, y0, y1, depth] with finite numbers "
                 f"and an integer depth >= 0: {c!r}")
         out.append(QuadCell(c[0], c[1], c[2], c[3], int(c[4])))
+    box = np.array([c[:4] for c in cells], dtype=float).reshape(-1, 4)
+    (bad,) = np.nonzero(~_is_rectangle(*box.T))
+    if len(bad):
+        raise FileFormatError(f"{path}: cell {bad[0]} is a degenerate or overflowing "
+                              f"rectangle: {cells[bad[0]]!r}")
     return tuple(out)
 
 

@@ -89,13 +89,14 @@ class ScanTriple:
     residual: float
 
 
-def _is_rectangle(x0, x1, y0, y1) -> bool:
-    """x0 < x1 and y0 < y1, with every node of the rectangle and of its
-    quadtree cells finite: chebyshev_points forms (b - a) * (ref + 1), and a
-    cell's midpoint is (a + b) / 2."""
-    x0, x1, y0, y1 = (float(b) for b in (x0, x1, y0, y1))
-    spans = (2 * (x1 - x0), 2 * (y1 - y0), x0 + x1, y0 + y1)
-    return x1 > x0 and y1 > y0 and bool(np.isfinite(spans).all())
+def _is_rectangle(x0, x1, y0, y1) -> np.ndarray:
+    """Elementwise: x0 < x1 and y0 < y1, with every node of the rectangle and
+    of its quadtree cells finite: chebyshev_points forms (b - a) * (ref + 1),
+    and a cell's midpoint is (a + b) / 2."""
+    x0, x1, y0, y1 = (np.asarray(b, dtype=float) for b in (x0, x1, y0, y1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spans = np.array((2 * (x1 - x0), 2 * (y1 - y0), x0 + x1, y0 + y1))
+    return (x1 > x0) & (y1 > y0) & np.isfinite(spans).all(axis=0)
 
 
 def _validate_bounds(bounds: Bounds) -> Bounds:
@@ -161,6 +162,32 @@ def _sigma_min(a: np.ndarray, eye: np.ndarray, z) -> float:
     return np.linalg.svd(a - z * eye, compute_uv=False)[-1]
 
 
+class _LipschitzBounds:
+    """sigma(z) = sigma_min(A - z) at grid nodes, each SVD bounding every node.
+
+    sigma is 1-Lipschitz in z (Weyl), so sigma(w) = v gives
+    v - |z - w| <= sigma(z) <= v + |z - w|.  ``margin`` covers the rounding
+    error of two SVDs, p(n) u ||A - z||, at desk scale: a node whose bound
+    clears a level by more than ``margin`` has a computed value on the same
+    side of it.
+    """
+
+    def __init__(self, a: np.ndarray, nodes: np.ndarray):
+        self.a, self.eye, self.nodes = a, np.eye(a.shape[0]), nodes
+        self.margin = 1e-12 * (np.linalg.norm(a) + np.abs(nodes).max() + 1.0)
+        self.values = np.full(len(nodes), np.nan)
+        self.lo = np.full(len(nodes), -np.inf)
+        self.hi = np.full(len(nodes), np.inf)
+
+    def value(self, i: int) -> float:
+        if np.isnan(self.values[i]):
+            v = self.values[i] = _sigma_min(self.a, self.eye, self.nodes[i])
+            d = np.abs(self.nodes - self.nodes[i])
+            np.maximum(self.lo, v - d, out=self.lo)
+            np.minimum(self.hi, v + d, out=self.hi)
+        return self.values[i]
+
+
 def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D:
     """Subdivide quadtree cells that hold a node with field value <= threshold.
 
@@ -168,13 +195,12 @@ def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D
     (else GridError), or a square matrix A, whose field sigma_min(A - z) is
     evaluated only where a cell's decision needs it.  A cell's nodes are
     those in its closed rectangle, hanging nodes of finer neighbours
-    included, visited nearest-centre first; the first node at or below the
-    threshold splits the cell.  For a matrix, sigma_min is 1-Lipschitz in z
-    (Weyl), so a node z needs no SVD when an evaluated node w of the cell
-    has sigma(w) - |z - w| above the threshold by more than the SVD's
-    rounding error: the decisions, and so the grid, are those of the full
-    field.  Cells already at ``max_depth`` are kept; when nothing qualifies
-    the grid is returned unchanged.  The threshold must be positive and
+    included.  For a matrix they are visited nearest-centre first, and every
+    SVD so far bounds every node (_LipschitzBounds): a node certified above
+    the threshold needs no SVD, and one certified below it splits the cell,
+    so the decisions, and the grid, are those of the full field.
+    Cells already at ``max_depth`` are kept; when nothing qualifies the grid
+    is returned unchanged.  The threshold must be positive and
     ``max_depth`` non-negative.
     """
     if not threshold > 0:
@@ -187,19 +213,20 @@ def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D
     if isinstance(field, ScalarField2D):
         if field.grid is not grid and not np.array_equal(field.grid.nodes, z):
             raise GridError("field does not match the grid")
-        value = field.values.__getitem__
-        margin = None  # a tabulated field need not be Lipschitz
-    else:
-        a = as_square(field)
-        eye = np.eye(a.shape[0])
-        values = np.full(grid.size, np.nan)
-        # covers the rounding error of two SVDs, p(n) u ||A - z||, at desk scale
-        margin = 1e-12 * (np.linalg.norm(a) + np.abs(z).max() + 1.0)
 
-        def value(i):
-            if np.isnan(values[i]):
-                values[i] = _sigma_min(a, eye, z[i])
-            return values[i]
+        def holds_low_node(idx, centre) -> bool:
+            return bool((field.values[idx] <= threshold).any())
+    else:
+        bounds = _LipschitzBounds(as_square(field), z)
+        low, high = threshold - bounds.margin, threshold + bounds.margin
+
+        def holds_low_node(idx, centre) -> bool:
+            for i in idx[np.argsort(np.abs(z[idx] - centre), kind="stable")]:
+                if (bounds.hi[idx] < low).any():
+                    return True
+                if bounds.lo[i] <= high and bounds.value(i) <= threshold:
+                    return True
+            return False
 
     def splits(c: QuadCell) -> bool:
         pad = 1e-9 * max(c.x1 - c.x0, c.y1 - c.y0)
@@ -209,18 +236,7 @@ def refine_grid(grid: Grid2D, field, threshold: float, max_depth: int) -> Grid2D
             & (z.imag >= c.y0 - pad)
             & (z.imag <= c.y1 + pad)
         )
-        zc = z[idx]
-        centre = complex(0.5 * (c.x0 + c.x1), 0.5 * (c.y0 + c.y1))
-        certified = np.zeros(len(idx), dtype=bool)
-        for k in np.argsort(np.abs(zc - centre), kind="stable"):
-            if certified[k]:
-                continue
-            v = value(idx[k])
-            if v <= threshold:
-                return True
-            if margin is not None:
-                certified |= v - np.abs(zc - zc[k]) > threshold + margin
-        return False
+        return holds_low_node(idx, complex(0.5 * (c.x0 + c.x1), 0.5 * (c.y0 + c.y1)))
 
     new_cells: list[QuadCell] = []
     changed = False

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from clifford_oracles import left_regular_norm
+from matword import clifford
 from matword.clifford import (
+    MAX_GENERATORS,
     clifford_distance,
     clifford_generators,
     clifford_norm,
     clifford_operator,
-    _power_iteration_norm,
 )
 from matword.linalg import LinalgError, operator_norm
 from matword.sampling import haar_unitary, random_hermitian
@@ -14,19 +16,27 @@ from matword.sampling import haar_unitary, random_hermitian
 
 class TestGenerators:
     def test_one_generator_matches_hand_table(self):
-        # basis (e_empty, e_1): left multiplication sends e_empty -> e_1
-        # and e_1 -> -e_empty
-        rep = clifford_generators(1)
-        assert np.array_equal(rep.generators[0], np.array([[0, -1], [1, 0]]))
+        # -i times the Pauli matrices: one generator is -i on C^1, two are
+        # -i X and -i Y on C^2, and a third is -i Z
+        assert np.array_equal(clifford_generators(1).generators[0], [[-1j]])
+        e1, e2, e3 = clifford_generators(3).generators
+        assert np.array_equal(e1, [[0, -1j], [-1j, 0]])
+        assert np.array_equal(e2, [[0, -1], [1, 0]])
+        assert np.array_equal(e3, [[-1j, 0], [0, 1j]])
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(clifford_generators(2).generators, (e1, e2)))
 
-    @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+    @pytest.mark.parametrize("nvars", range(1, MAX_GENERATORS + 1))
     def test_defining_relations_exact(self, nvars):
         rep = clifford_generators(nvars)
-        eye = np.eye(rep.dim, dtype=np.int64)
+        size = 2 ** (nvars // 2)
+        assert rep.dim == size
+        eye = np.eye(size)
         for i, gi in enumerate(rep.generators):
-            assert np.array_equal(gi @ gi, -eye)
-            for gj in rep.generators[i + 1:]:
-                assert np.array_equal(gi @ gj, -(gj @ gi))
+            assert gi.shape == (size, size)
+            assert not gi.flags.writeable
+            for j, gj in enumerate(rep.generators):
+                assert np.array_equal(gi @ gj + gj @ gi, -2 * (i == j) * eye)
 
     def test_generator_count_guard(self):
         with pytest.raises(LinalgError):
@@ -41,8 +51,9 @@ class TestGenerators:
 class TestCliffordOperator:
     def test_single_identity_is_unitary(self):
         op = clifford_operator([np.eye(4)])
+        assert op.shape == (4, 4)
         assert clifford_norm([np.eye(4)]) == pytest.approx(1.0, abs=1e-12)
-        assert operator_norm(op @ op.conj().T - np.eye(8)) < 1e-12
+        assert operator_norm(op @ op.conj().T - np.eye(4)) < 1e-12
 
     def test_zero_tuple(self):
         assert clifford_norm([np.zeros((3, 3)), np.zeros((3, 3))]) == 0.0
@@ -56,8 +67,35 @@ class TestCliffordOperator:
             assert clifford_norm(mats) <= bound + 1e-10
 
     def test_operator_size(self):
-        op = clifford_operator([np.eye(3), np.eye(3)])
-        assert op.shape == (12, 12)
+        # n * 2^floor(m/2) rows
+        assert clifford_operator([np.eye(3), np.eye(3)]).shape == (6, 6)
+        assert clifford_operator([np.eye(3)] * 3).shape == (6, 6)
+        assert clifford_operator([np.eye(3)] * 4).shape == (12, 12)
+
+    @pytest.mark.parametrize("nvars", range(1, 9))
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_norm_matches_left_regular_representation(self, nvars, n):
+        rng = np.random.default_rng(100 * nvars + n)
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for _ in range(nvars)]
+        expected = left_regular_norm(mats)
+        assert clifford_norm(mats) == pytest.approx(expected, rel=1e-13)
+
+    def test_oversized_operator_is_refused_before_it_is_built(self, monkeypatch):
+        built = []
+
+        def record(mats):
+            built.append(len(mats))
+            return np.zeros((1, 1))
+
+        monkeypatch.setattr(clifford, "clifford_operator", record)
+        # 12 generators act on C^64: 64 * 64 = 4096 rows is the largest allowed
+        assert clifford_norm([np.eye(64)] * 12) == 0.0
+        with pytest.raises(LinalgError, match="4160 rows"):
+            clifford_norm([np.eye(65)] * 12)
+        with pytest.raises(LinalgError, match="4160 rows"):
+            clifford_distance([np.eye(65)] * 12, [np.zeros((65, 65))] * 12)
+        assert built == [12]
 
 
 class TestDeltaMetric:
@@ -105,9 +143,3 @@ class TestDeltaMetric:
         sc = [w @ m @ w.conj().T for m in s]
         tc = [w @ m @ w.conj().T for m in t]
         assert clifford_distance(sc, tc) == pytest.approx(clifford_distance(s, t), rel=1e-10)
-
-
-def test_power_iteration_matches_dense(rng):
-    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    dense = float(np.linalg.norm(a, 2))
-    assert _power_iteration_norm(a) == pytest.approx(dense, rel=1e-6)

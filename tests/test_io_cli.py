@@ -202,6 +202,21 @@ class TestCli:
         io.save_matrices(yp, y)
         return xp, yp
 
+    @pytest.mark.parametrize("mode", ["algebraic", "soft"])
+    def test_polynomial_deform_of_mismatched_tuples_is_usage_error(self, tmp_path, capsys, mode):
+        from matword.deformation import InstanceSpec, generate_instance
+
+        polys = (io.parse_poly_literal("z^2-1"),) * 2
+        x, y = generate_instance(InstanceSpec("cube", 2, 4, 0.05, seed=1, polys=polys))
+        xp, yp, out = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "d.json"
+        io.save_matrices(xp, x)
+        io.save_matrices(yp, y.matrices[:1])
+        self._assert_usage_error(
+            capsys, ["deform", mode, "--x", str(xp), "--y", str(yp), "--polys", "z^2-1",
+                     "--delta", "0.05", "--report", str(out)],
+            "tuples must share arity and dimension")
+        assert not out.exists()
+
     def test_unknown_subcommand_usage_error(self, capsys):
         assert dispatch(["frobnicate"]) == 2
 
@@ -450,6 +465,26 @@ class TestCli:
             capsys, ["grid", "refine", "--grid-file", str(g), "--input", str(a),
                      "--max-depth", "-3", "--out", str(out)], "max_depth must be >= 0"
         )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", [[-1e308, 1e308, -1, 0, 1], [0, 1, 1e308, 1.7e308, 1],
+                                      [0.5, 0.5, -1, 0, 1]])
+    def test_overflowing_cell_in_grid_file_is_usage_error(self, tmp_path, capsys, cell):
+        a, g, out = tmp_path / "a.json", tmp_path / "g.json", tmp_path / "r.json"
+        io.save_matrices(a, np.diag([0.1, 0.2]))
+        assert dispatch(["grid", "generate", "--grid", "quad:1", "--out", str(g)]) == 0
+        doc = json.loads(g.read_text())
+        doc["grid"]["cells"][0] = cell
+        g.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(["grid", "refine", "--grid-file", str(g), "--input", str(a),
+                         "--threshold", "0.5", "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("error: ")
+        assert "cell 0 is a degenerate or overflowing rectangle" in printed.err
+        assert printed.err.count("\n") == 1
         assert not out.exists()
 
     # each rectangle has finite bounds, but (b - a) * 2 or a + b overflows;

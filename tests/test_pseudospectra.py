@@ -229,6 +229,28 @@ class TestLazyRefinement:
         want = refine_grid(g, sigma_min_field(a, g), 0.2, 6)
         assert got.cells == want.cells
 
+    def test_every_evaluated_node_certifies_every_cell(self, monkeypatch):
+        # the benchmark's chained refines: certified from one cell's own
+        # nodes only, these passes took 475 SVDs
+        a = ginibre(np.random.default_rng(880_000), 50)
+        g = quadtree_grid((-1.5, 1.5, -1.5, 1.5), 2)
+        calls = []
+        sigma_min = pseudospectra._sigma_min
+
+        def counted(*args):
+            calls.append(args[-1])
+            return sigma_min(*args)
+
+        for _ in range(3):
+            monkeypatch.setattr(pseudospectra, "_sigma_min", counted)
+            got = refine_grid(g, a, 0.2, 6)
+            monkeypatch.setattr(pseudospectra, "_sigma_min", sigma_min)
+            want = refine_grid(g, sigma_min_field(a, g), 0.2, 6)
+            assert got.cells == want.cells
+            assert same_bits(got.nodes, want.nodes)
+            g = want
+        assert len(calls) <= 330
+
     def test_matrix_needs_a_quadtree(self):
         g = chebyshev_grid((-1, 1, -1, 1), 3, 3)
         with pytest.raises(GridError):
