@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -190,11 +190,6 @@ def generate_instance(spec: InstanceSpec) -> tuple[NormalTuple, NormalTuple]:
 # connectivity pipelines
 
 
-def _num(v):
-    """JSON number: None for missing or non-finite values."""
-    return None if v is None or not np.isfinite(v) else float(v)
-
-
 @dataclass(frozen=True)
 class DeformationResult:
     paths: tuple[MatrixPath, ...]
@@ -215,26 +210,14 @@ class DeformationResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "delta_in": _num(self.delta_in),
-            "achieved_eps": _num(self.achieved_eps),
-            "endpoint_residual": _num(self.endpoint_residual),
-            "max_commutation": _num(self.max_commutation),
-            "max_poly_residual": _num(self.max_poly_residual),
-            "compressibility": _num(self.compressibility),
-            "passed": bool(self.passed),
-            "constraints": [
-                [
-                    {
-                        "label": e.label,
-                        "max_residual": _num(e.max_residual),
-                        "bound": _num(e.bound),
-                        "passed": bool(e.passed),
-                        "worst_t": _num(e.worst_t),
-                    }
-                    for e in rep.entries
-                ]
-                for rep in self.reports
-            ],
+            "delta_in": self.delta_in,
+            "achieved_eps": self.achieved_eps,
+            "endpoint_residual": self.endpoint_residual,
+            "max_commutation": self.max_commutation,
+            "max_poly_residual": self.max_poly_residual,
+            "compressibility": self.compressibility,
+            "passed": self.passed,
+            "constraints": [[asdict(e) for e in rep.entries] for rep in self.reports],
         }
 
 
@@ -480,22 +463,6 @@ class TrialRecord:
     recovery_residual: float | None
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "achieved_eps": _num(self.achieved_eps),
-            "endpoint_residual": _num(self.endpoint_residual),
-            "max_commutation": _num(self.max_commutation),
-            "normality_residual": _num(self.normality_residual),
-            "max_poly_residual": _num(self.max_poly_residual),
-            "relation_residual": _num(self.relation_residual),
-            "relation_bound": _num(self.relation_bound),
-            "cross_commutator": _num(self.cross_commutator),
-            "dilation_mismatch": _num(self.dilation_mismatch),
-            "recovery_residual": _num(self.recovery_residual),
-            "passed": bool(self.passed),
-        }
-
 
 @dataclass(frozen=True)
 class ConnectivityReport:
@@ -526,14 +493,12 @@ class ConnectivityReport:
                 "delta": self.spec.delta,
                 "eps_alg": self.spec.eps_alg,
                 "seed": self.spec.seed,
-                "polys": None
-                if self.spec.polys is None
-                else [[[c.real, c.imag] for c in p.coeffs] for p in self.spec.polys],
+                "polys": None if self.spec.polys is None else [p.coeffs for p in self.spec.polys],
             },
             "eps_pass": self.eps_pass,
             "pass_rate": self.pass_rate,
             "achieved_eps": self.achieved_stats(),
-            "trials": [r.to_json_dict() for r in self.records],
+            "trials": [asdict(r) for r in self.records],
         }
 
     def csv_rows(self) -> list[list]:

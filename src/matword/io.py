@@ -26,7 +26,10 @@ whole document in memory.  Matrix entries go in as ``_pairs`` text, formed
 a chunk of entries at a time, so no writer builds their list of pairs.
 Everything that is not streamed is encoded before the file is opened, and a
 stream that fails while writing removes the file, so a document that cannot
-be encoded leaves no file behind.
+be encoded leaves no file behind.  Every value that is not streamed goes
+through ``_plain``: a non-finite float is written as null and a complex
+number as its [re, im] pair, so no file holds NaN or Infinity; a matrix with
+a non-finite entry is refused.
 """
 
 from __future__ import annotations
@@ -75,11 +78,10 @@ def _pairs(values: np.ndarray) -> _Text:
         yield "["
         for i in range(0, len(v), _PAIR_CHUNK):
             c = v[i : i + _PAIR_CHUNK]
-            if np.isfinite(c).all():
-                text = ", ".join(f"[{re!r}, {im!r}]" for re, im in zip(c.real.tolist(),
-                                                                       c.imag.tolist()))
-            else:  # NaN and the infinities as json.dumps writes them
-                text = json.dumps(np.stack([c.real, c.imag], -1).tolist())[1:-1]
+            if not np.isfinite(c).all():
+                raise ValueError("cannot write a matrix with non-finite entries")
+            text = ", ".join(f"[{re!r}, {im!r}]" for re, im in zip(c.real.tolist(),
+                                                                   c.imag.tolist()))
             yield text if i == 0 else ", " + text
         yield "]"
 
@@ -118,13 +120,31 @@ def _lazy(node) -> bool:
         isinstance(node, dict) and any(_lazy(v) for v in node.values()))
 
 
+def _plain(value):
+    """``value`` with each non-finite float replaced by None and each complex
+    number by its [re, im] pair: what ``json.dumps`` writes with allow_nan=False."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (complex, np.complexfloating)):
+        return [_plain(float(value.real)), _plain(float(value.imag))]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _dumps(value) -> str:
+    return json.dumps(_plain(value), sort_keys=True, allow_nan=False)
+
+
 def _json_parts(node) -> list:
     """``node``'s JSON text as strings, with each iterator left in place of its
     list and each ``_Text`` in place of its text."""
     if isinstance(node, (Iterator, _Text)):
         return [node]
     if not isinstance(node, dict):
-        return [json.dumps(node, sort_keys=True)]
+        return [_dumps(node)]
     parts, sep = ["{"], ""
     # each run of plain values in key order is encoded by one json.dumps call
     for lazy, keys in groupby(sorted(node), key=lambda k: _lazy(node[k])):
@@ -133,7 +153,7 @@ def _json_parts(node) -> list:
                 parts += [f"{sep}{json.dumps(key)}: ", *_json_parts(node[key])]
                 sep = ", "
         else:
-            parts.append(sep + json.dumps({k: node[k] for k in keys}, sort_keys=True)[1:-1])
+            parts.append(sep + _dumps({k: node[k] for k in keys})[1:-1])
             sep = ", "
     parts.append("}")
     return parts
@@ -394,7 +414,7 @@ def load_tuple(path) -> NormalTuple:
 def save_poly(path, p: PolyC):
     doc = {
         "format": POLY_FORMAT,
-        "coeffs": [[complex(c).real, complex(c).imag] for c in p.coeffs],
+        "coeffs": [complex(c) for c in p.coeffs],
         "monic": bool(p.monic),
     }
     _write_json(path, doc)
@@ -524,7 +544,7 @@ def write_grid_json(path, grid: Grid2D):
 def write_triples_json(path, triples: list[ScanTriple]):
     _write_json(path, (
         {
-            "sigma": [t.sigma.real, t.sigma.imag],
+            "sigma": t.sigma,
             "residual": t.residual,
             "u": _pairs(t.u),
             "v": _pairs(t.v),
@@ -572,7 +592,7 @@ def ncpoly_json_dict(system) -> dict:
         "polys": [
             [
                 [
-                    [complex(alpha).real, complex(alpha).imag],
+                    complex(alpha),
                     {
                         "coeff_indices": list(w.coeff_indices),
                         "var_indices": list(w.var_indices),

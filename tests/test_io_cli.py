@@ -400,9 +400,10 @@ class TestCli:
     def test_malformed_ncpoly_coefficient_is_usage_error(self, tmp_path, rng, capsys):
         inp, sysf = tmp_path / "t.json", tmp_path / "sys.json"
         io.save_matrices(inp, commuting_hermitian_tuple(rng, 2, 3))
-        doc = io.ncpoly_json_dict(commutator_system(2, 1e-8))
+        io.save_ncpoly(sysf, commutator_system(2, 1e-8))
+        doc = json.loads(sysf.read_text())
         doc["polys"][0][1][0] = [1.0]
-        sysf.write_text(json.dumps(doc))
+        io.write_json_report(sysf, doc)
         argv = ["words", "membership", "--input", str(inp), "--system", str(sysf)]
         self._assert_usage_error(capsys, argv, f"{sysf}: polynomial 0: coefficient [1.0]")
 
