@@ -5,13 +5,19 @@ One line per report: the acceptance criteria 1-8 bodies (serialized exactly
 as tests/test_acceptance.py does for criterion 9), then the JSON report and
 the CSV body (without '#' comment lines) of several ``matword verify`` runs:
 the two shapes the benchmark runs, an AULPAC cube run where some trials
-fail their bounds, and a ULPAC run whose trials are all refused.  Last come
+fail their bounds, and a ULPAC run whose trials are all refused.  Next come
 the JSON report and the exported path samples of one ``matword deform`` run
 per mode (gujc, algebraic, soft), each on a seeded ``matword generate`` pair.
 Then the pseudospectra commands on the benchmark's seed-0 inputs: the field
 CSV body and the triples JSON of ``matword scan`` on the desk-cluster pair
 and on the Ginibre matrix, and the grid JSON of ``matword grid generate``
 followed by three chained ``matword grid refine`` runs on the Ginibre matrix.
+Last, the writers of polynomials and noncommutative systems: the poly JSON
+of the benchmark's ``matword minpoly`` run on the desk-cluster pair and the
+contours CSV body of its ``matword lemniscate`` run, the
+``commutator_system(2, 1e-6)`` file that ``io.save_ncpoly`` writes, and the
+outputs of ``matword words membership`` and ``matword words eval`` on the
+gujc run's generated tuple, with that file as the system and the function.
 
 The first line, ``# blas_threads=1``, records the thread count of numpy's
 bundled OpenBLAS, the one library matword runs on
@@ -38,6 +44,8 @@ import test_acceptance  # noqa: E402
 import workloads  # noqa: E402
 from matword import config  # noqa: E402
 from matword.cli import dispatch  # noqa: E402
+from matword.io import save_ncpoly  # noqa: E402
+from matword.words import commutator_system  # noqa: E402
 
 VERIFY_RUNS = {
     "verify-ulpac-cube": [
@@ -142,6 +150,22 @@ def main():
                            "--threshold", "0.2", "--max-depth", "6", "--out", str(grids[i + 1])])
             print(f"grid-refine-{i + 1}.exit {code}")
             print(f"grid-refine-{i + 1}.json {_sha(grids[i + 1].read_bytes())}")
+        # the desk pair is the scan-desk run's input
+        desk = workloads.DESK_CLUSTER
+        minpoly, lemniscate = desk.commands(desk.base_seed, Path(tmp), Path(tmp), False)[1:]
+        print(f"minpoly-desk.exit {_quiet(minpoly)}")
+        print(f"minpoly-desk.json {_sha(Path(tmp, 'poly.json').read_bytes())}")
+        print(f"lemniscate-desk.exit {_quiet(lemniscate)}")
+        print(f"lemniscate-desk.csv {_sha(_csv_body(Path(tmp, 'contours.csv')))}")
+        system = Path(tmp, "system.json")
+        save_ncpoly(system, commutator_system(2, 1e-6))
+        print(f"ncpoly.json {_sha(system.read_bytes())}")
+        x = str(Path(tmp, "gujc-x.json"))
+        for action, option in (("membership", "--system"), ("eval", "--function")):
+            out = Path(tmp, f"words-{action}.json")
+            code = _quiet(["words", action, "--input", x, option, str(system), "--out", str(out)])
+            print(f"words-{action}.exit {code}")
+            print(f"words-{action}.json {_sha(out.read_bytes())}")
 
 
 if __name__ == "__main__":

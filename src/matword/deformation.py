@@ -88,6 +88,11 @@ class InstanceSpec:
             raise InstanceError("need m >= 1 and n >= 1")
         if self.delta < 0 or self.eps_alg < 0:
             raise InstanceError("delta and eps_alg must be non-negative")
+        # the scale of an n x n product of the members; refused before it overflows
+        scale = 1.0 + self.delta + self.eps_alg
+        if not math.isfinite(self.n * scale * scale):
+            raise InstanceError(f"delta {self.delta!r} and eps_alg {self.eps_alg!r} "
+                                f"overflow at n = {self.n}")
         if self.polys is not None and len(self.polys) not in (1, self.m):
             raise InstanceError("need one polynomial, or one per tuple member")
 
@@ -462,6 +467,8 @@ class TrialRecord:
     dilation_mismatch: float | None
     recovery_residual: float | None
     passed: bool
+    # "<exception class>: <message>" of a refused trial, else None
+    refusal: str | None
 
 
 @dataclass(frozen=True)
@@ -505,7 +512,7 @@ class ConnectivityReport:
         head = [
             "trial", "seed", "achieved_eps", "endpoint_residual", "max_commutation",
             "normality_residual", "max_poly_residual", "relation_residual", "cross_commutator",
-            "passed",
+            "passed", "refusal",
         ]
         rows = [head]
         for i, r in enumerate(self.records):
@@ -514,6 +521,8 @@ class ConnectivityReport:
                 repr(r.max_commutation), repr(r.normality_residual),
                 "" if r.max_poly_residual is None else repr(r.max_poly_residual),
                 repr(r.relation_residual), repr(r.cross_commutator), int(r.passed),
+                # the class only: a message may hold commas
+                "" if r.refusal is None else r.refusal.partition(":")[0],
             ])
         return rows
 
@@ -570,8 +579,9 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
     its paths, and ``base_relation(y)`` is the target's own relation
     residual.  A lifted trial must also compress back onto its
     source.  A connection refused with one of _REFUSALS is recorded as a
-    failed trial with infinite residuals; any other error is raised.  Fewer
-    than one trial raises DeformationError.
+    failed trial with infinite residuals and the refusal's class and
+    message; any other error is raised.  Fewer than one trial raises
+    DeformationError.
     """
     if trials < 1:
         raise DeformationError(f"need at least one trial, got {trials}")
@@ -586,10 +596,10 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
         cross = max_commutator(product(x, y))
         try:
             res = connect(lx, ly)
-        except _REFUSALS:  # recorded, not raised
+        except _REFUSALS as exc:  # recorded, not raised
             return TrialRecord(
                 sub.seed, math.inf, math.inf, math.inf, math.inf, None, math.inf, 0.0,
-                cross, mismatch, None, False,
+                cross, mismatch, None, False, f"{type(exc).__name__}: {exc}",
             )
         recovery = None if mismatch is None else max(
             operator_norm(upper_left_block(p.start) - h) for p, h in zip(res.paths, x)
@@ -607,7 +617,7 @@ def _run_trials(mode, spec, trials, eps_pass, size, lift, connect, base_relation
         return TrialRecord(
             sub.seed, res.achieved_eps, res.endpoint_residual, res.max_commutation,
             res.max_normality, res.max_poly_residual, relation, relation_bound, cross, mismatch,
-            recovery, ok,
+            recovery, ok, None,
         )
 
     records = [trial(t) for t in range(trials)]

@@ -117,11 +117,9 @@ KEPT = {
     "phase_exp": "test oracle for curved paths and principal_unitary_log",
     "path_length": "test oracle for the sampling and concatenation of paths",
     "commuting_hermitian_tuple": "test factory for commuting tuples",
-    "save_ncpoly": "writes the ncpoly format that `words --system/--function` reads",
     "is_closed": "tells the closed lemniscate contours from the open ones",
     "conjugation_tuple_map": "a tuple map for controllability ratios (ROADMAP item 6)",
     "dilation_tuple_map": "a tuple map for controllability ratios (ROADMAP item 6)",
-    "commutator_system": "the variety to gate along certified paths (ROADMAP item 6)",
     "controllability_constant": "words along certified paths (ROADMAP item 6)",
 }
 

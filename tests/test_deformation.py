@@ -371,6 +371,9 @@ class TestTrialRecords:
         assert r.achieved_eps == r.relation_residual == r.normality_residual == np.inf
         assert r.relation_bound == 0.0
         assert r.dilation_mismatch is None and r.recovery_residual is None
+        assert r.refusal == ("DeformationError: delta 4.452e-01 exceeds a sixth of the root "
+                             "gap 2.000e+00")
+        assert rep.csv_rows()[0][-1] == "refusal" and rep.csv_rows()[1][-1] == "DeformationError"
 
     def test_refused_aulpac_trial_keeps_dilation_mismatch(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -385,6 +388,7 @@ class TestTrialRecords:
         assert r.relation_bound == 0.0
         assert r.dilation_mismatch == ok.dilation_mismatch > 0.0
         assert r.recovery_residual is None
+        assert r.refusal == "DeformationError: refused" and ok.refusal is None
 
     @pytest.mark.parametrize("verify,pipeline,spec", [
         (verify_ulpac, "_soft_connect",
@@ -404,6 +408,7 @@ class TestTrialRecords:
         if issubclass(error, refusals):
             (r,) = verify(spec, 1, eps_pass=0.2).records
             assert r.passed is False and r.achieved_eps == np.inf
+            assert r.refusal == f"{error.__name__}: from the pipeline"
         else:
             with pytest.raises(error, match="from the pipeline"):
                 verify(spec, 1, eps_pass=0.2)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from matword.minpoly import PolyC
 from matword.pseudospectra import ScanTriple
 from matword.sampling import commuting_hermitian_tuple, random_hermitian
 from matword.words import NCPolySystem, WordSpec, commutator_system
+from test_cli_domain import _strict
 
 
 def csv_data_rows(path):
@@ -572,6 +574,32 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "g.json"]
 
 
+    # n * (1 + delta)^2 overflows: refused before any arithmetic, so that no
+    # numpy RuntimeWarning (an error here) is printed
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["verify --delta", "generate --delta"])
+    def test_overflowing_delta_is_usage_error(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch([arg.replace("{}", "1e308") for arg in self._THRESHOLDS[case]]) == 2
+        assert capsys.readouterr().err == "error: delta 1e+308 and eps_alg 0.0 overflow at n = 4\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # a delta whose products stay finite runs on: the AULPAC target fails its
+    # commutator bound, and the ULPAC trial is refused
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, code, printed", [
+        (["aulpac"], 2, "error: target tuple commutator bound"),
+        (["ulpac", "--polys", "z^2-1"], 1, "ulpac: pass rate 0.000 over 1 trials"),
+    ])
+    def test_large_finite_delta_runs_on(self, tmp_path, capsys, monkeypatch, mode, code,
+                                        printed):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["verify", *mode, "--m", "2", "--n", "4", "--delta", "1e150", "--seed",
+                         "7", "--trials", "1", "--report", "v.json"]) == code
+        assert capsys.readouterr()[code == 2].startswith(printed)
+        assert Path("v.json").exists() == (code == 1)
+
+
 class TestStructurallyWrongJson:
     """A loader handed valid JSON of the wrong shape names the file and the
     missing or malformed key and exits 2, instead of leaving dispatch with a
@@ -897,6 +925,33 @@ class TestStreamedWriters:
                          "--paths", str(out)]) == 0
         want = connect_commuting(io.load_tuple(xp), io.load_tuple(yp)).paths
         assert out.read_bytes() == tree_bytes(paths_tree(want))
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        path = tmp_path / "r.json"
+        io.write_json_report(path, {"a": [inf, {"b": -inf, "c": (nan, 1.5)}], "d": np.float64(nan),
+                                    "e": (v for v in ({"f": -inf, "g": [1, "x"]},))})
+        assert _strict(path.read_text()) == {"a": [None, {"b": None, "c": [None, 1.5]}],
+                                             "d": None, "e": [{"f": None, "g": [1, "x"]}]}
+
+    def test_complex_values_are_written_as_their_old_pairs(self, tmp_path):
+        values = [complex(-0.0, 1.5), np.complex128(complex(2.5, -0.0)), complex(-0.0, -0.0)]
+        path = tmp_path / "r.json"
+        io.write_json_report(path, {"z": values, "w": {"v": values[1]},
+                                    "s": iter([{"sigma": values[0]}])})
+        assert path.read_bytes() == tree_bytes(
+            {"z": [[c.real, c.imag] for c in values], "w": {"v": [2.5, -0.0]},
+             "s": [{"sigma": [-0.0, 1.5]}]})
+
+    def test_non_finite_path_sample_is_refused(self, tmp_path):
+        from matword.paths import MatrixPath
+
+        samples = np.zeros((3, 2, 2), dtype=complex)
+        samples[2, 1, 0] = complex(0.0, np.inf)
+        path = tmp_path / "p.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            io.write_paths_json(path, [MatrixPath(np.linspace(0.0, 1.0, 3), samples)])
+        assert not path.exists()
 
     def test_failing_stream_leaves_no_file(self, tmp_path):
         path = tmp_path / "r.json"
