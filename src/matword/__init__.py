@@ -30,7 +30,6 @@ from .linalg import (
     commutator,
     joint_diagonalize,
     operator_norm,
-    phase_exp,
     polar_decomposition,
     principal_unitary_log,
 )
@@ -48,7 +47,6 @@ from .paths import (
     concat,
     curved_path,
     flat_path,
-    path_length,
     verify_path,
 )
 from .pseudospectra import (

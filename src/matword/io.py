@@ -489,12 +489,8 @@ def _grid_dict(g: Grid2D) -> dict:
     }
 
 
-def field_json_dict(field: ScalarField2D) -> dict:
-    return {"grid": _grid_dict(field.grid), "values": [float(v) for v in field.values]}
-
-
 def write_field_json(path, field: ScalarField2D):
-    _write_json(path, field_json_dict(field))
+    _write_json(path, {"grid": _grid_dict(field.grid), "values": [float(v) for v in field.values]})
 
 
 def _finite_number(v) -> bool:

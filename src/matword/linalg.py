@@ -201,13 +201,6 @@ def cartesian_decomposition(a) -> tuple[np.ndarray, np.ndarray]:
     return h, k
 
 
-def phase_exp(h) -> np.ndarray:
-    """exp(i * pi * H) for hermitian H, via eigendecomposition; unitary up to rounding."""
-    h = hermitian_part(as_square(h))
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(1j * np.pi * w)) @ q.conj().T
-
-
 def polar_decomposition(a) -> tuple[np.ndarray, np.ndarray]:
     """A = V R with V unitary and R positive semidefinite, via SVD.
 

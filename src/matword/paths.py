@@ -286,12 +286,6 @@ def concat(p: MatrixPath, q: MatrixPath, *more: MatrixPath) -> MatrixPath:
     return MatrixPath._of(frozen(times), pieces, p.dim)
 
 
-def path_length(p: MatrixPath) -> float:
-    """Polygonal length in operator norm (a lower bound of the true length)."""
-    s = p.samples
-    return float(sum(operator_norm(s[i + 1] - s[i]) for i in range(p.n_samples - 1)))
-
-
 @dataclass(frozen=True)
 class CommutationConstraint:
     """Commutator residual against another path (samplewise) or a fixed matrix."""

@@ -300,11 +300,3 @@ def scan_triples(a, eps: float, points) -> list[ScanTriple]:
             continue
         out.append(ScanTriple(sigma, frozen(u), frozen(v), residual))
     return out
-
-
-def eigenvalue_disk_mask(a, eps: float, grid: Grid2D) -> np.ndarray:
-    """Membership oracle for normal matrices: distance to the spectrum <= eps."""
-    a = as_square(a)
-    eigs = np.linalg.eigvals(a)
-    dist = np.min(np.abs(grid.nodes[:, None] - eigs[None, :]), axis=1)
-    return dist <= eps

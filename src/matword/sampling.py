@@ -31,16 +31,6 @@ def unitary_near_identity(rng: np.random.Generator, n: int, bound: float) -> np.
     return (q * np.exp(1j * angle * w)) @ q.conj().T
 
 
-def commuting_hermitian_tuple(rng: np.random.Generator, m: int, n: int) -> list[np.ndarray]:
-    """m exactly commuting hermitian contractions, diagonal in a common basis."""
-    q = haar_unitary(rng, n)
-    out = []
-    for _ in range(m):
-        d = rng.uniform(-1.0, 1.0, n)
-        out.append(hermitian_part((q * d) @ q.conj().T))
-    return out
-
-
 def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     """Complex Gaussian matrix scaled by 1/sqrt(n), so the spectrum sits near the unit disk."""
     scale = 1.0 / np.sqrt(n)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from matword.linalg import NormalTuple
-from matword.sampling import commuting_hermitian_tuple, haar_unitary, random_hermitian
+from matword.sampling import haar_unitary, random_hermitian
+from normal_oracles import commuting_hermitian_tuple
 
 
 @pytest.fixture

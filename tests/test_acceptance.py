@@ -36,11 +36,11 @@ from matword.minpoly import PolyC, approx_min_poly
 from matword.paths import MatrixPath
 from matword.pseudospectra import (
     chebyshev_grid,
-    eigenvalue_disk_mask,
     pseudospectrum,
     scan_triples,
 )
 from matword.sampling import haar_unitary, random_hermitian, unitary_near_identity
+from normal_oracles import eigenvalue_disk_mask
 from path_oracles import spectrum_drift
 
 Z2M1 = PolyC((-1.0, 0.0, 1.0))

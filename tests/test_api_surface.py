@@ -9,8 +9,8 @@ calls in the tests do not count.  A call whose argument only forwards a paramete
 enclosing function that is itself never set does not count.
 
 Likewise a public name that only tests reach is code no user runs, unless it
-is an oracle the tests check the library against or it waits on a planned
-caller; those are listed in KEPT, each with its reason.
+waits on a planned caller; those are listed in KEPT, each with its reason.
+The oracles the tests check the library against live in tests/.
 """
 
 import ast
@@ -113,10 +113,6 @@ def test_the_walk_sees_parameters_and_calls():
 
 # Public names that only tests reference, and why each one stays.
 KEPT = {
-    "eigenvalue_disk_mask": "criterion 4's oracle: the pseudospectrum of a normal matrix",
-    "phase_exp": "test oracle for curved paths and principal_unitary_log",
-    "path_length": "test oracle for the sampling and concatenation of paths",
-    "commuting_hermitian_tuple": "test factory for commuting tuples",
     "is_closed": "tells the closed lemniscate contours from the open ones",
     "conjugation_tuple_map": "a tuple map for controllability ratios (ROADMAP item 6)",
     "dilation_tuple_map": "a tuple map for controllability ratios (ROADMAP item 6)",
@@ -179,7 +175,7 @@ def test_the_reference_walk_sees_wrapped_and_called_names():
     refs = referenced_names()
     # a call through a module attribute in a script and a plain call in another module
     assert {"blas_threads", "nearby_commuting_unitary"} <= refs
-    assert "path_length" not in refs
+    assert "is_closed" not in refs
     assert list(_names(ast.parse('"paths.curved_path"'))) == ["paths", "curved_path"]
 
 

@@ -25,11 +25,8 @@ from matword.linalg import (
     max_commutator,
     operator_norm,
 )
-from matword.sampling import (
-    commuting_hermitian_tuple,
-    haar_unitary,
-    unitary_near_identity,
-)
+from matword.sampling import haar_unitary, unitary_near_identity
+from normal_oracles import commuting_hermitian_tuple
 
 
 def random_block_unitary(rng, bases):

@@ -104,7 +104,8 @@ q = haar_unitary(rng, 100)
 eigs = np.exp(2j * np.pi * np.arange(100) / 100) * (1.0 + 0.1 * rng.random(100))
 a = (q * eigs) @ q.conj().T
 reps, _ = linalg.cluster_eigenbasis(a, 1e-3)
-z = linalg.phase_exp(random_hermitian(rng, 100, norm=0.9))
+w, v = np.linalg.eigh(random_hermitian(rng, 100, norm=0.9))
+z = (v * np.exp(1j * np.pi * w)) @ v.conj().T
 h = linalg.principal_unitary_log(z)
 print(config.blas_threads(), "scipy" in sys.modules)
 print(repr(reps))

@@ -11,7 +11,8 @@ from matword.cli import dispatch
 from matword.linalg import NormalTuple
 from matword.minpoly import PolyC
 from matword.pseudospectra import ScanTriple
-from matword.sampling import commuting_hermitian_tuple, random_hermitian
+from matword.sampling import random_hermitian
+from normal_oracles import commuting_hermitian_tuple
 from matword.words import NCPolySystem, WordSpec, commutator_system
 from test_cli_domain import _strict
 

@@ -22,12 +22,13 @@ from matword.linalg import (
     commutator,
     joint_diagonalize,
     operator_norm,
-    phase_exp,
     polar_decomposition,
     principal_unitary_log,
     threshold_clusters,
 )
-from matword.sampling import commuting_hermitian_tuple, haar_unitary, random_hermitian
+from matword.sampling import haar_unitary, random_hermitian
+from normal_oracles import commuting_hermitian_tuple
+from path_oracles import phase_exp
 
 
 def random_complex(rng, n):

@@ -12,7 +12,6 @@ from matword.linalg import (
     hermitian_part,
     max_operator_norm,
     operator_norm,
-    phase_exp,
 )
 from matword.minpoly import PolyC
 from matword.paths import (
@@ -25,11 +24,11 @@ from matword.paths import (
     concat,
     curved_path,
     flat_path,
-    path_length,
     verify_path,
 )
-from matword.sampling import commuting_hermitian_tuple, random_hermitian
-from path_oracles import spectrum_drift
+from matword.sampling import random_hermitian
+from normal_oracles import commuting_hermitian_tuple
+from path_oracles import path_length, phase_exp, spectrum_drift
 
 
 class TestCurvedPath:

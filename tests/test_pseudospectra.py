@@ -9,7 +9,6 @@ from matword.pseudospectra import (
     ScalarField2D,
     chebyshev_grid,
     chebyshev_points,
-    eigenvalue_disk_mask,
     pseudospectrum,
     quadtree_grid,
     refine_grid,
@@ -17,6 +16,7 @@ from matword.pseudospectra import (
     sigma_min_field,
 )
 from matword.sampling import ginibre, haar_unitary
+from normal_oracles import eigenvalue_disk_mask
 
 
 class TestChebyshevGrid:

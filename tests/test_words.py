@@ -12,7 +12,8 @@ from matword.approximants import (
 )
 from matword.clifford import clifford_distance
 from matword.linalg import NormalTuple, operator_norm
-from matword.sampling import commuting_hermitian_tuple, haar_unitary, random_hermitian
+from matword.sampling import haar_unitary, random_hermitian
+from normal_oracles import commuting_hermitian_tuple
 from matword.words import (
     WordError,
     WordFunction,
