@@ -88,11 +88,15 @@ class InstanceSpec:
             raise InstanceError("need m >= 1 and n >= 1")
         if self.delta < 0 or self.eps_alg < 0:
             raise InstanceError("delta and eps_alg must be non-negative")
-        # the scale of an n x n product of the members; refused before it overflows
-        scale = 1.0 + self.delta + self.eps_alg
+        # the scale of an n x n product of the members, whose spectra sit at
+        # the polynomials' roots; refused before it overflows
+        top = max((float(np.abs(p.roots()).max(initial=1.0)) for p in self.polys or ()),
+                  default=1.0)
+        scale = top + self.delta + self.eps_alg
         if not math.isfinite(self.n * scale * scale):
+            roots = f" with roots up to {top!r}" if top > 1 else ""
             raise InstanceError(f"delta {self.delta!r} and eps_alg {self.eps_alg!r} "
-                                f"overflow at n = {self.n}")
+                                f"overflow at n = {self.n}{roots}")
         if self.polys is not None and len(self.polys) not in (1, self.m):
             raise InstanceError("need one polynomial, or one per tuple member")
 
@@ -229,6 +233,10 @@ class DeformationResult:
 def _check_pair(x: NormalTuple, y: NormalTuple):
     if x.arity != y.arity or x.dim != y.dim:
         raise DeformationError("tuples must share arity and dimension")
+    # the scale of an n x n product of the members, as InstanceSpec bounds it
+    top = max(float(np.abs(m).max()) for t in (x, y) for m in t)
+    if not math.isfinite(x.dim * top * top):
+        raise DeformationError(f"entries up to {top!r} overflow at n = {x.dim}")
 
 
 def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:

@@ -38,7 +38,8 @@ class PolyC:
     def roots(self) -> np.ndarray:
         if self.degree == 0:
             return np.array([], dtype=complex)
-        return np.roots(np.array(self.coeffs[::-1], dtype=complex))
+        with np.errstate(over="ignore"):  # eigvals refuses a root past the float range
+            return np.roots(np.array(self.coeffs[::-1], dtype=complex))
 
 
 def poly_eval(p: PolyC, z):
@@ -61,8 +62,10 @@ def poly_eval_matrix(p: PolyC, a) -> np.ndarray:
 
 
 def poly_residual(p: PolyC, a) -> float:
-    """Operator norm of p(A)."""
-    return operator_norm(poly_eval_matrix(p, a))
+    """Operator norm of p(A); inf where p(A) overflows, which no SVD is asked for."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pa = poly_eval_matrix(p, a)
+    return operator_norm(pa) if np.isfinite(pa).all() else np.inf
 
 
 def _arnoldi(a: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -117,6 +120,7 @@ def _monic_fit(nodes: np.ndarray, degree: int) -> PolyC:
     return PolyC(tuple(c) + (1.0 + 0.0j,), monic=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # PolyC refuses a fit that overflows
 def approx_min_poly(a, delta: float, max_deg: int, seed: int = 0) -> tuple[PolyC, float]:
     """Smallest-degree monic fit over Ritz values reaching ||p(A)|| <= delta.
 
@@ -143,6 +147,7 @@ def approx_min_poly(a, delta: float, max_deg: int, seed: int = 0) -> tuple[PolyC
     return best
 
 
+@np.errstate(over="ignore", invalid="ignore")  # ScalarField2D refuses a field that overflows
 def lemniscate_field(p: PolyC, grid: Grid2D) -> ScalarField2D:
     """|p(z)| at every grid node."""
     return ScalarField2D(grid, np.abs(poly_eval(p, grid.nodes)))

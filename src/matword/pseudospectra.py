@@ -127,17 +127,22 @@ def chebyshev_grid(bounds: Bounds, p: int, q: int) -> Grid2D:
 def _quadtree_nodes(cells: tuple[QuadCell, ...], order: int) -> np.ndarray:
     """Union of the cells' Chebyshev stencils, ordered by (imag, real).
 
-    Nodes whose coordinates agree to 10 decimals are one node, kept at the
-    first-seen value in cell order, then y-major within a cell.
+    Nodes whose coordinates, as fractions of the cells' bounding box, agree
+    to 10 decimals are one node, kept at the first-seen value in cell order,
+    then y-major within a cell.
     """
     box = np.array([(c.x0, c.x1, c.y0, c.y1) for c in cells])
     xs = chebyshev_points(box[:, 0:1], box[:, 1:2], order)
     ys = chebyshev_points(box[:, 2:3], box[:, 3:4], order)
     pts = (xs[:, None, :] + 1j * ys[:, :, None]).ravel()
-    # round() on a float64 scalar is np.round, not Python's float round;
-    # np.unique compares with ==, so keys -0.0 and 0.0 name one node
-    _, kx = np.unique(np.round(pts.real, 10), return_inverse=True)
-    _, ky = np.unique(np.round(pts.imag, 10), return_inverse=True)
+
+    def keys(v, lo, hi):
+        # halving is exact and keeps the span of cells far apart finite
+        frac = (v / 2 - lo / 2) / (hi / 2 - lo / 2)
+        return np.unique(np.round(frac, 10), return_inverse=True)[1]
+
+    kx = keys(pts.real, box[:, 0].min(), box[:, 1].max())
+    ky = keys(pts.imag, box[:, 2].min(), box[:, 3].max())
     _, first = np.unique(kx * (ky.max() + 1) + ky, return_index=True)
     pts = pts[first]
     return pts[np.lexsort((pts.real, pts.imag))]
@@ -174,7 +179,8 @@ class _LipschitzBounds:
 
     def __init__(self, a: np.ndarray, nodes: np.ndarray):
         self.a, self.eye, self.nodes = a, np.eye(a.shape[0]), nodes
-        self.margin = 1e-12 * (np.linalg.norm(a) + np.abs(nodes).max() + 1.0)
+        with np.errstate(over="ignore"):  # an infinite margin certifies nothing
+            self.margin = 1e-12 * (np.linalg.norm(a) + np.abs(nodes).max() + 1.0)
         self.values = np.full(len(nodes), np.nan)
         self.lo = np.full(len(nodes), -np.inf)
         self.hi = np.full(len(nodes), np.inf)

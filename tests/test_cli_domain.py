@@ -200,22 +200,56 @@ def _keeps_the_contract(argv, out):
                 LOADERS[name](out / name)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(args=arguments(FAST))
 # an overflowing rectangle, which the search finds about two runs in three
 @example(args=("grid", [(None, "action", "generate"), ("--grid", "grid", "quad:1"),
                         ("--bounds", "bounds", "-1e308,1e308,0,1"), ("--out", "out", "g.json")]))
+# quadtree rectangles on which absolute node keys overflow or coincide
+@example(args=("grid", [(None, "action", "generate"), ("--grid", "grid", "quad:1"),
+                        ("--bounds", "bounds", "-1e299,1e299,-1,1"), ("--out", "out", "g.json")]))
+@example(args=("grid", [(None, "action", "generate"), ("--grid", "grid", "quad:1"),
+                        ("--bounds", "bounds", "0,1e-12,0,1e-12"), ("--out", "out", "g.json")]))
+# a matrix whose norm overflows, refined on the huge grid
+@example(args=("grid", [(None, "action", "refine"),
+                        ("--grid-file", "grid_file", "huge-grid.json"),
+                        ("--input", "input", "huge.json"), ("--threshold", "threshold", "0.5"),
+                        ("--out", "out", "g.json")]))
+# a fit and a field that overflow
+@example(args=("minpoly", [("--input", "input", "huge.json"), ("--delta", "delta", "0.5"),
+                           ("--out", "out", "p.json")]))
+@example(args=("lemniscate", [("--poly", "poly", "1e308,0,1e308"), ("--grid", "grid", "cheb:5x5"),
+                              ("--bounds", "bounds", "-2,2,-2,2"), ("--level", "level", "0.5"),
+                              ("--out", "out", "c.csv")]))
 def test_fast_commands_keep_the_domain_contract(inputs, tmp_path_factory, args):
     out = tmp_path_factory.mktemp("out")
     _keeps_the_contract(render(*args, inputs, out), out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=800, deadline=None)
 @given(args=arguments(INSTANCE))
 # n * (1 + delta)^2 overflows, which is refused before any arithmetic
 @example(args=("verify", [(None, "mode", "aulpac"), ("--m", "m", "2"), ("--n", "n", "4"),
                           ("--delta", "delta", "1e308"), ("--seed", "seed", "1"),
                           ("--trials", "trials", "1"), ("--report", "report", "r.json")]))
+# a root near the float limit, refused by the same rule
+@example(args=("verify", [(None, "mode", "ulpac"), ("--m", "m", "1"), ("--n", "n", "2"),
+                          ("--delta", "delta", "0.5"), ("--seed", "seed", "1"),
+                          ("--polys", "polys", ["-1e308,1"]), ("--trials", "trials", "1"),
+                          ("--report", "report", "r.json")]))
+@example(args=("generate", [("--m", "m", "1"), ("--n", "n", "2"), ("--delta", "delta", "0.5"),
+                            ("--seed", "seed", "1"), ("--polys", "polys", ["-1e308,1"]),
+                            ("--out", "out", "x.json"), ("--out-y", "out_y", "y.json")]))
+# endpoints whose products overflow
+@example(args=("deform", [(None, "mode", "gujc"), ("--x", "x", "huge.json"),
+                          ("--y", "y", "huge.json"), ("--eps", "eps", "0.5"),
+                          ("--report", "report", "r.json")]))
+# a polynomial whose residual at the endpoints overflows
+@example(args=("deform", [(None, "mode", "algebraic"), ("--x", "x", "xa.json"),
+                          ("--y", "y", "x.json"), ("--polys", "polys", ["1e308,0,1e308"]),
+                          ("--eps", "eps", "0.5"), ("--report", "report", "r.json")]))
 def test_instance_commands_keep_the_domain_contract(inputs, tmp_path_factory, args):
     out = tmp_path_factory.mktemp("out")
     _keeps_the_contract(render(*args, inputs, out), out)

@@ -600,6 +600,64 @@ class TestCli:
         assert capsys.readouterr()[code == 2].startswith(printed)
         assert Path("v.json").exists() == (code == 1)
 
+    # n * (max(1, |root|) + delta)^2 overflows: refused before the spectra
+    # are seeded at the roots, and a root past the float range is refused
+    # by numpy's eigvals, with no RuntimeWarning on the way
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("polys, message", [
+        ("-1e308,1", "delta 0.5 and eps_alg 0.0 overflow at n = 2 with roots up to 1e+308"),
+        ("1e308,1e-300", "Array must not contain infs or NaNs"),
+    ], ids=["large-root", "root-past-the-range"])
+    @pytest.mark.parametrize("command", [
+        ["generate", "--out", "x.json", "--out-y", "y.json"],
+        ["verify", "ulpac", "--trials", "1", "--report", "v.json", "--csv", "v.csv"],
+    ], ids=["generate", "verify"])
+    def test_overflowing_roots_are_usage_error(self, tmp_path, capsys, monkeypatch, command,
+                                               polys, message):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch([*command, "--m", "1", "--n", "2", "--delta", "0.5", "--seed", "1",
+                         f"--polys={polys}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # endpoints whose products overflow are refused before any arithmetic,
+    # by the rule InstanceSpec applies to generated ones
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", [["gujc"], ["algebraic", "--polys", "z^2-1"],
+                                      ["soft", "--polys", "z^2-1", "--delta", "0.5"]],
+                             ids=["gujc", "algebraic", "soft"])
+    def test_overflowing_endpoints_are_usage_error(self, tmp_path, capsys, monkeypatch, mode):
+        monkeypatch.chdir(tmp_path)
+        io.save_matrices("huge.json", np.array([[1e308, -1e308], [1e308, 1e308]]))
+        assert dispatch(["deform", *mode, "--x", "huge.json", "--y", "huge.json", "--eps", "0.5",
+                         "--report", "d.json", "--paths", "p.json"]) == 2
+        assert capsys.readouterr().err == "error: entries up to 1e+308 overflow at n = 2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
+
+    # a fit or a field that overflows is refused by the rule that already
+    # stood, with no RuntimeWarning on the way
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, message", [
+        (["minpoly", "--input", "huge.json", "--delta", "0.5", "--out", "p.json"],
+         "polynomial has non-finite coefficients"),
+        (["minpoly", "--input", "big.json", "--delta", "0.5", "--out", "p.json"],
+         "polynomial has non-finite coefficients"),
+        (["lemniscate", "--poly", "1e308,0,1e308", "--grid", "cheb:5x5", "--bounds=-2,2,-2,2",
+          "--level", "0.5", "--out", "c.csv", "--field", "l.csv"],
+         "field has non-finite values"),
+        (["lemniscate", "--poly", "z^2+1", "--grid", "cheb:5x5", "--bounds=-1e200,1e200,-2,2",
+          "--level", "0.5", "--out", "c.csv"],
+         "field has non-finite values"),
+    ], ids=["minpoly-huge", "minpoly-big", "lemniscate-coefficients", "lemniscate-bounds"])
+    def test_overflowing_fit_or_field_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     command, message):
+        monkeypatch.chdir(tmp_path)
+        io.save_matrices("huge.json", np.array([[1e308, -1e308], [1e308, 1e308]]))
+        io.save_matrices("big.json", np.diag([1e154, -1e154, 3.0]))
+        assert dispatch(command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json", "huge.json"]
+
 
 class TestStructurallyWrongJson:
     """A loader handed valid JSON of the wrong shape names the file and the

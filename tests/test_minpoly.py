@@ -218,3 +218,13 @@ def test_poly_residual_matches_eigenvalue_sup(rng):
     p = PolyC((0.3, -0.2, 1.0))
     want = np.max(np.abs(poly_eval(p, eigs)))
     assert poly_residual(p, a) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_poly_residual_is_infinite_without_an_svd(capfd):
+    # p(2) overflows, and an SVD of an overflowed p(A) makes LAPACK print
+    # "On entry to DLASCL ..." on stderr
+    p = PolyC((1e308, 0.0, 1e308))
+    assert poly_residual(p, np.diag([0.5, 2.0])) == np.inf
+    assert poly_residual(p, np.diag([0.5, 0.25])) == pytest.approx(1.25e308)
+    assert capfd.readouterr().err == ""

@@ -105,14 +105,18 @@ def sigma_like(grid, value):
 
 def reference_quadtree_nodes(cells, order):
     """The per-node loop _quadtree_nodes replaced: round() on each float64
-    coordinate, first-seen value per key, sorted by (imag, real)."""
+    coordinate as a fraction of the cells' bounding box, first-seen value per
+    key, sorted by (imag, real)."""
+    box = np.array([(c.x0, c.x1, c.y0, c.y1) for c in cells])
+    x0, x1, y0, y1 = box[:, 0].min(), box[:, 1].max(), box[:, 2].min(), box[:, 3].max()
     seen = {}
     for c in cells:
         xs = chebyshev_points(c.x0, c.x1, order)
         ys = chebyshev_points(c.y0, c.y1, order)
         for y in ys:
             for x in xs:
-                seen.setdefault((round(x, 10), round(y, 10)), x + 1j * y)
+                key = (round((x - x0) / (x1 - x0), 10), round((y - y0) / (y1 - y0), 10))
+                seen.setdefault(key, x + 1j * y)
     return np.array(sorted(seen.values(), key=lambda z: (z.imag, z.real)), dtype=complex)
 
 
@@ -144,21 +148,39 @@ class TestQuadtreeNodes:
             assert same_bits(got, reference_quadtree_nodes(cells, order))
 
     def test_near_tie_keys_match_reference(self):
-        # 0.12345678905 sits just above a decimal tie: round() on a float64
-        # scalar rounds it down, Python's float round() rounds it up, onto
-        # the key of 0.1234567891
+        # on the unit box a key is the coordinate itself. 0.12345678905 sits
+        # just above a decimal tie: round() on a float64 scalar rounds it
+        # down, Python's float round() rounds it up, onto the key of
+        # 0.1234567891
         cells = (QuadCell(0.12345678905, 1.0, 0.0, 1.0, 0),
-                 QuadCell(0.1234567891, 1.0, 0.0, 1.0, 0))
+                 QuadCell(0.1234567891, 1.0, 0.0, 1.0, 0),
+                 QuadCell(0.0, 1.0, 0.0, 1.0, 0))
         got = pseudospectra._quadtree_nodes(cells, 3)
         assert same_bits(got, reference_quadtree_nodes(cells, 3))
-        assert np.sum(got.real < 0.2) == 6
+        assert np.sum(got.real < 0.2) == 9
 
     def test_signed_zero_keys_name_one_node(self):
-        # the middle stencil point of [-1, 1] lands a rounding error off 0,
-        # below it on [-1, 1] and exactly on 0 as a corner of [0, 1]
+        # the middle stencil point of [-1, 1] lands a rounding error below
+        # 0, and 0 is a corner of [0, 1]: as fractions of the box both keys
+        # are 0.5
         cells = (QuadCell(-1.0, 1.0, -1.0, 1.0, 0), QuadCell(0.0, 1.0, 0.0, 1.0, 0))
         got = pseudospectra._quadtree_nodes(cells, 3)
         assert same_bits(got, reference_quadtree_nodes(cells, 3))
+
+    # the keys stay finite past 1.8e298, where round(x, 10) overflows, and
+    # tell nodes apart on a box far below 1e-10
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bounds", [(-1e299, 1e299, -1, 1), (-1e307, 1e307, -1, 1),
+                                        (0, 1e-12, 0, 1e-12), (-2, 2, -2, 2)])
+    def test_every_node_is_kept_at_any_finite_scale(self, bounds):
+        g = quadtree_grid(bounds, 1)
+        assert g.size == 25
+        assert len(set(g.nodes.real)) == 5 and len(set(g.nodes.imag)) == 5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cells_whose_box_spans_past_the_float_range_keep_their_nodes(self):
+        cells = (QuadCell(-1e308, -9e307, 0.0, 1.0, 0), QuadCell(9e307, 1e308, 0.0, 1.0, 0))
+        assert len(pseudospectra._quadtree_nodes(cells, 3)) == 18
 
 
 def random_matrix(rng, kind, n):
@@ -250,6 +272,20 @@ class TestLazyRefinement:
             assert same_bits(got.nodes, want.nodes)
             g = want
         assert len(calls) <= 330
+
+    # numpy's norm of these matrices overflows, so the margin is infinite and
+    # certifies nothing: every decision takes an SVD, and still matches
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, bounds, split", [
+        (np.diag([1e200, 0.0]), (-2, 2, -2, 2), True),
+        (np.array([[1e308, -1e308], [1e308, 1e308]]), (-1e307, 1e307, -1, 1), False),
+    ], ids=["low-nodes", "huge"])
+    def test_overflowing_norm_refines_like_the_full_field(self, a, bounds, split):
+        g = quadtree_grid(bounds, 1)
+        got = refine_grid(g, a, 0.5, 3)
+        want = refine_grid(g, sigma_min_field(a, g), 0.5, 3)
+        assert got.cells == want.cells and same_bits(got.nodes, want.nodes)
+        assert (got is not g) == split
 
     def test_matrix_needs_a_quadtree(self):
         g = chebyshev_grid((-1, 1, -1, 1), 3, 3)
