@@ -227,7 +227,13 @@ def joint_isospectral_approximant(
 
     ux, dx = joint_diagonalize(x, tol=max(x.commutator_bound, 1e-12))
     uy, dy = joint_diagonalize(y, tol=max(y.commutator_bound, 1e-12))
+    return isospectral_from_bases(ux, dx, uy, dy, delta)
 
+
+def isospectral_from_bases(ux, dx, uy, dy, delta: float) -> IsospectralApproximant:
+    """``joint_isospectral_approximant`` of tuples already diagonalized: X_j =
+    ux diag(dx[j]) ux* and Y_j = uy diag(dy[j]) uy*, unchecked."""
+    n = len(ux)
     overlap = ux.conj().T @ uy
     cost = matching_cost_matrix(dx, dy, overlap, overlap_weight=max(delta, 1e-12))
     perm = _min_cost_assignment(cost)

@@ -22,6 +22,7 @@ from .approximants import (
     ApproximantError,
     dilate,
     double_embed,
+    isospectral_from_bases,
     joint_isospectral_approximant,
     nearby_commuting_unitary,
     upper_left_block,
@@ -34,7 +35,6 @@ from .linalg import (
     hermitian_part,
     joint_diagonalize,
     max_commutator,
-    max_operator_norm,
     operator_norm,
     principal_unitary_log,
     threshold_clusters,
@@ -48,11 +48,11 @@ from .paths import (
     PathReport,
     PolynomialConstraint,
     TargetDistanceConstraint,
+    certify_paths,
     concat,
     curved_path,
     flat_path,
     sample_blocks,
-    verify_paths,
 )
 from .sampling import haar_unitary, unitary_near_identity
 
@@ -244,23 +244,21 @@ def _pair_distance(x: NormalTuple, y: NormalTuple) -> float:
     return max(operator_norm(a - b) for a, b in zip(x, y))
 
 
-def _curved_connect(
-    x: NormalTuple, y: NormalTuple, delta: float, n_seg: int
-) -> tuple[Iterator[MatrixPath], float]:
-    """Curved paths conjugating X into Y's joint-diagonal algebra.
+def _curved_connect(psi, x: NormalTuple, n_seg: int) -> tuple[Iterator[MatrixPath], float]:
+    """Curved paths conjugating X into Y's joint-diagonal algebra, for the
+    isospectral approximant ``psi`` of X and Y.
 
     The approximant's unitary W is compressed onto the nearest unitary What
     commuting with a generator of Y's joint-cluster algebra (distinct label
     per cluster of joint eigenvalues, merged at 1e-9); blocks
     on genuinely degenerate joint eigenspaces are kept whole, so only
     cross-cluster leakage counts against compressibility.  The paths then
-    conjugate by the principal-log flow of What* W.
+    conjugate by the principal-log flow of What* W, whose eigh factors every
+    member shares.
 
-    ``delta`` is the pair distance of X and Y.  Returns a generator of the
-    per-member paths, each built when it is drawn so that the caller can
-    drop one before the next exists, and ||W - What||.
+    Returns a generator of the per-member paths, each built when it is drawn
+    so that the caller can drop one before the next exists, and ||W - What||.
     """
-    psi = joint_isospectral_approximant(x, y, delta)
     uy, dy = psi.target_basis
     labels = threshold_clusters(np.stack(dy, 1), 1e-9).astype(float)
     d_gen = (uy * labels) @ uy.conj().T
@@ -272,8 +270,8 @@ def _curved_connect(
         raise DeformationError(
             f"approximant is not jointly compressible: ||W - What|| = {deviation:.3e} >= 1"
         )
-    h = principal_unitary_log(z)
-    return (curved_path(h, xj, n_seg) for xj in x), deviation
+    eig = np.linalg.eigh(hermitian_part(principal_unitary_log(z)))
+    return (curved_path(eig, xj, n_seg) for xj in x), deviation
 
 
 def _assemble_result(
@@ -286,9 +284,9 @@ def _assemble_result(
     compressibility: float,
     relation: str | None,
 ) -> DeformationResult:
-    """The result of a pipeline, from one pass of ``verify_paths`` over its
-    paths that also evaluates the ``relation`` ("cube" or "sphere") residual
-    when one is given."""
+    """The result of a pipeline, from ``certify_paths`` over its paths, which
+    also bounds the ``relation`` ("cube" or "sphere") residual when one is
+    given."""
     n = x.dim
     comm_bound = 1e-7 * n
     dist_bound = math.inf if eps is None else eps
@@ -303,9 +301,8 @@ def _assemble_result(
         if polys is not None:
             cons.append(PolynomialConstraint(polys[j], dist_bound))
         constraints.append(cons)
-    stacks = None if relation is None else lambda b, out: _relation_stacks(b, relation, out)
-    reports, worst_relation = verify_paths(paths, constraints, stacks)
-    # the walk formed and kept each path's ends
+    reports, worst_relation = certify_paths(paths, constraints, relation)
+    # each path's ends, formed here or by a junction check and kept by their segments
     endpoint = max(max(operator_norm(p.start - xj), operator_norm(p.end - yj))
                    for p, xj, yj in zip(paths, x, y))
 
@@ -351,7 +348,7 @@ def _check_eps(eps):
 
 def _curved_then_flat(x, y, delta, eps, polys, relation) -> DeformationResult:
     seg = (DEFAULT_SAMPLES + 1) // 2
-    curved, deviation = _curved_connect(x, y, delta, seg)
+    curved, deviation = _curved_connect(joint_isospectral_approximant(x, y, delta), x, seg)
     paths = [concat(c, flat_path(c.end, yj, seg)) for c, yj in zip(curved, y)]
     return _assemble_result(paths, x, y, eps, polys, delta, deviation, relation)
 
@@ -397,10 +394,9 @@ def connect_algebraic(
     return _curved_then_flat(x, y, delta, eps, polys, None)
 
 
-def _project_to_roots(
-    u: np.ndarray, diags: list[np.ndarray], polys, delta: float
-) -> list[np.ndarray]:
-    mats = []
+def _project_to_roots(diags: list[np.ndarray], polys, delta: float) -> list[np.ndarray]:
+    """Each member's eigenvalues moved to the nearest root of its polynomial."""
+    out = []
     for dj, p in zip(diags, polys):
         roots = p.roots()
         rounded = np.empty_like(dj)
@@ -412,8 +408,8 @@ def _project_to_roots(
                     f"eigenvalue {val:.6f} sits {shift:.3e} from the zero set (> delta/2)"
                 )
             rounded[i] = roots[k]
-        mats.append((u * rounded) @ u.conj().T)
-    return mats
+        out.append(rounded)
+    return out
 
 
 def connect_soft_algebraic(
@@ -444,11 +440,14 @@ def _soft_connect(x, y, polys, delta: float, eps, relation) -> DeformationResult
 
     ux, dx = joint_diagonalize(x, tol=max(x.commutator_bound, 1e-12))
     uy, dy = joint_diagonalize(y, tol=max(y.commutator_bound, 1e-12))
-    xhat = NormalTuple.from_matrices(_project_to_roots(ux, dx, polys, delta))
-    yhat = NormalTuple.from_matrices(_project_to_roots(uy, dy, polys, delta))
+    rx, ry = _project_to_roots(dx, polys, delta), _project_to_roots(dy, polys, delta)
+    xhat = NormalTuple.from_matrices([(ux * r) @ ux.conj().T for r in rx])
+    yhat = NormalTuple.from_matrices([(uy * r) @ uy.conj().T for r in ry])
 
     seg = (DEFAULT_SAMPLES + 2) // 3 + 1
-    curved, deviation = _curved_connect(xhat, yhat, _pair_distance(xhat, yhat), seg)
+    # xhat and yhat are diagonal in the known bases, which the approximant reuses
+    psi = isospectral_from_bases(ux, rx, uy, ry, _pair_distance(xhat, yhat))
+    curved, deviation = _curved_connect(psi, xhat, seg)
 
     paths = [
         concat(flat_path(x[j], xhat[j], seg), c, flat_path(yhat[j], y[j], seg))
@@ -568,8 +567,8 @@ def _relation_residual(members, kind: str) -> float:
     """
     stacks = [np.asarray(z).reshape(-1, *np.shape(z)[-2:]) for z in members]
     blocks = sample_blocks(len(stacks[0]), stacks[0].shape[-1])
-    worst, _ = max_operator_norm(
-        r for b in blocks for r in _relation_stacks([z[b] for z in stacks], kind, None))
+    worst = max(float(operator_norm(r).max())
+                for b in blocks for r in _relation_stacks([z[b] for z in stacks], kind, None))
     return _relation_value(worst, kind)
 
 

@@ -36,10 +36,18 @@ class PolyC:
         return len(self.coeffs) - 1
 
     def roots(self) -> np.ndarray:
-        if self.degree == 0:
+        """The roots, refused by name when one lies beyond the float range."""
+        c = np.trim_zeros(np.array(self.coeffs[::-1], dtype=complex), "f")
+        if len(c) < 2:
             return np.array([], dtype=complex)
-        with np.errstate(over="ignore"):  # eigvals refuses a root past the float range
-            return np.roots(np.array(self.coeffs[::-1], dtype=complex))
+        # the first row of the companion matrix whose eigenvalues np.roots takes
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = -c[1:] / c[0]
+        if not np.isfinite(row).all():
+            text = ",".join(repr(a.real) if a.imag == 0 else repr(a)
+                            for a in map(complex, self.coeffs))
+            raise LinalgError(f"polynomial {text} has a root beyond the float range")
+        return np.roots(c)
 
 
 def poly_eval(p: PolyC, z):

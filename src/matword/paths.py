@@ -13,27 +13,27 @@ read-only stack on each access and does not keep it.  A segment keeps only
 its two end samples once formed, which the junction checks, the next
 segment's start and the endpoint checks read again.
 
-Verification is report-only: each constraint yields the maximum of its
-residual norm over the samples, the first time it is attained, and a
-pass/fail against the supplied bound.  ``verify_paths`` walks a tuple of
-paths once, in the fewest balanced blocks whose n x n complex stacks fit
-SAMPLE_BLOCK_BYTES.  It forms each path's block once, into a buffer reused
-from block to block, and feeds every constraint's residual to its own
-``linalg.MaxOperatorNorm``, which runs the SVD only on the samples whose norm
-bound still reaches the running maximum, so the reported maxima are the
-per-sample SVD's to the bit whatever the blocks.  Memory does not grow with
-the sample count.
+Checks are report-only: each constraint yields the largest norm of its
+residual, the time of the largest value found, and a pass/fail against the
+supplied bound.  ``certify_paths`` bounds each residual over the whole of
+every curved and flat segment from the segment's structure, to within
+CERTIFY_RTOL of the largest value it evaluates or to the rounding floor.
+``verify_paths`` walks the samples instead, in the fewest balanced blocks
+whose n x n complex stacks fit SAMPLE_BLOCK_BYTES, with one stacked
+``operator_norm`` per residual and block, so its maxima are the per-sample
+SVD's to the bit whatever the blocks; it also takes stored samples, which
+have no structure to certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Union
 
 import numpy as np
 
 from .linalg import (
-    MaxOperatorNorm,
     as_square,
     default_tol,
     frozen,
@@ -43,15 +43,16 @@ from .linalg import (
 from .minpoly import PolyC, poly_eval_matrix
 
 DEFAULT_SAMPLES = 65
-# Residuals are evaluated a block of samples at a time, one batched matmul and
-# SVD call per block, and a block's n x n complex stack holds at most
-# SAMPLE_BLOCK_BYTES.  A walk over m paths keeps m + 4 such stacks (a block
-# per path, the residual and the norm bounds' three work stacks): 1.5 MiB for
-# m = 2, which stays within a 2 MiB per-core L2 cache.  The budget gives
-# blocks of 34 + 33 samples at n = 16, where a long block lets the running
-# maximum skip more SVDs, 4 samples at n = 64 and 1 from n = 128 on, where
-# memory matters more than batching.
+# The sampled walk evaluates residuals a block of samples at a time, one
+# batched matmul and SVD call per block, and a block's n x n complex stack
+# holds at most SAMPLE_BLOCK_BYTES.  A walk over m paths keeps m + 1 such
+# stacks (a block per path and the residual): 0.75 MiB for m = 2.  The budget
+# gives blocks of 34 + 33 samples at n = 16, 4 samples at n = 64 and 1 from
+# n = 128 on, where memory matters more than batching.
 SAMPLE_BLOCK_BYTES = 256 << 10
+# A certified sup stops at this relative distance above the largest value
+# evaluated, or at the rounding floor n * u * scale above it.
+CERTIFY_RTOL = 1e-2
 
 
 def sample_blocks(count: int, n: int) -> list[slice]:
@@ -136,6 +137,35 @@ class _Curved(_Formed):
         ud = u @ self.d
         np.matmul(ud, np.conjugate(u, out=u).transpose(0, 2, 1), out=out)
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """D, as the one Bernstein coefficient of a constant: a residual that
+        is unitarily invariant, in members that share U(t), is D's for all t."""
+        return self.d[None]
+
+    def distance(self, target: np.ndarray) -> tuple[float, float, float]:
+        """(sup, best, t) of ||Z(t) - target|| over [0, 1], by branch and bound
+        with the Lipschitz constant pi ||[H, D]||, which is exact: Z'(t) =
+        i pi U(t) [H, D] U(t)* for every t."""
+        # in the eigenbasis of H, Z(t) - target is D' o exp(i pi t (w_i - w_j)) - Y'
+        qh = self.q.conj().T
+        dq, yq = qh @ self.d @ self.q, qh @ target @ self.q
+        gaps = self.w[:, None] - self.w[None, :]
+        lipschitz = np.pi * operator_norm(gaps * dq)
+
+        def values(t):
+            return operator_norm(dq * np.exp(1j * np.pi * t[:, None, None] * gaps) - yq)
+
+        def bound(ends, width, state):
+            return ends.mean(axis=1) + lipschitz * width / 2
+
+        def split(lo, width, state):
+            return values(lo + width / 2), state, state
+
+        scale = _size(self.coeffs) + _size(target[None])
+        return _branch_and_bound(values(np.array([0.0, 1.0])), [], bound, split,
+                                 _floor(self.shape[0], scale))
+
 
 class _Flat(_Formed):
     """t -> (1 - t) X + t Y."""
@@ -148,6 +178,60 @@ class _Flat(_Formed):
         t = self.times[lo:hi, None, None]
         np.multiply(1.0 - t, self.x, out=out)
         out += t * self.y
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """X and Y, the Bernstein coefficients of the segment."""
+        return np.stack([self.x, self.y])
+
+
+def _size(coeffs: np.ndarray) -> float:
+    """The largest Frobenius norm of a stack of coefficients."""
+    return float(np.linalg.norm(coeffs, axis=(1, 2)).max())
+
+
+def _floor(n: int, scale: float) -> float:
+    """The rounding floor n * u * scale, u = 2**-53, of an n x n residual
+    formed from matrices of norm ``scale``."""
+    return n * np.finfo(float).eps / 2 * scale
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack([a, b], 1).reshape(-1, *a.shape[1:])
+
+
+def _branch_and_bound(ends, state: list, bound, split, floor: float):
+    """(sup, best, t) of a residual norm over [0, 1], from its values ``ends``
+    at 0 and 1: a certified sup, the largest value evaluated and its first t.
+
+    ``bound(ends, width, state)`` bounds the norm on each interval from the
+    values at its ends, its width and its ``state`` (arrays, one row per
+    interval); ``split(lo, width, state)`` returns the values at the
+    intervals' midpoints and the state of their two halves.  An interval is
+    split while its bound lies above the largest value evaluated by more
+    than CERTIFY_RTOL of it and by more than ``floor``; the sup is the
+    largest bound of the intervals left.
+    """
+    ends = np.asarray(ends, dtype=float).reshape(1, 2)
+    lo, width, sup = np.zeros(1), 1.0, -np.inf
+    best, where = (ends[0, 1], 1.0) if ends[0, 1] > ends[0, 0] else (ends[0, 0], 0.0)
+    while True:
+        b = bound(ends, width, state)
+        loose = b > max(best * (1.0 + CERTIFY_RTOL), best + floor)
+        sup = max(sup, b[~loose].max(initial=-np.inf))
+        if not loose.any():
+            return float(sup), float(best), where
+        if width < 2.0**-30:
+            raise PathError("a certified bound did not converge")
+        lo, ends, state = lo[loose], ends[loose], [s[loose] for s in state]
+        mid, left, right = split(lo, width, state)
+        width /= 2
+        k = int(np.argmax(mid))
+        if mid[k] > best:
+            best, where = float(mid[k]), float(lo[k] + width)
+        lo = _interleave(lo, lo + width)
+        ends = _interleave(np.stack([ends[:, 0], mid], 1), np.stack([mid, ends[:, 1]], 1))
+        state = [_interleave(a, z) for a, z in zip(left, right)]
 
 
 class MatrixPath:
@@ -234,14 +318,24 @@ def _timegrid(n_samples: int) -> np.ndarray:
 
 
 def curved_path(h, d, n_samples: int = DEFAULT_SAMPLES) -> MatrixPath:
-    """Conjugation path t -> exp(i*pi*t*H) D exp(-i*pi*t*H), H hermitian to default_tol(n)."""
-    h = as_square(h)
+    """Conjugation path t -> exp(i*pi*t*H) D exp(-i*pi*t*H), H hermitian to default_tol(n).
+
+    ``h`` may also be the pair (w, Q) that ``np.linalg.eigh`` returns for the
+    hermitian part of H: the members of one conjugation share it, which
+    ``certify_paths`` needs of commutation partners and the sphere relation.
+    """
     d = as_square(d)
-    if h.shape != d.shape:
+    if isinstance(h, tuple):
+        w, q = h
+    else:
+        h = as_square(h)
+        if h.shape != d.shape:
+            raise PathError("generator and matrix dimensions disagree")
+        if operator_norm(h - h.conj().T) > default_tol(h.shape[0]):
+            raise PathError("curved path generator must be hermitian")
+        w, q = np.linalg.eigh(hermitian_part(h))
+    if q.shape != d.shape:
         raise PathError("generator and matrix dimensions disagree")
-    if operator_norm(h - h.conj().T) > default_tol(h.shape[0]):
-        raise PathError("curved path generator must be hermitian")
-    w, q = np.linalg.eigh(hermitian_part(h))
     times = _timegrid(n_samples)
     return MatrixPath._of(times, [(_Curved(w, q, d, times), 0)], d.shape[0])
 
@@ -375,19 +469,9 @@ def _residual(c: Constraint, s: np.ndarray, other, out: np.ndarray) -> np.ndarra
     return out
 
 
-def verify_paths(paths, constraints, relation=None) -> tuple[tuple[PathReport, ...], float]:
-    """The report of ``constraints[j]`` along ``paths[j]`` for each j, from one
-    pass over the samples.
-
-    The paths share one time grid and size, and a partner path of a
-    commutation constraint is one of them.  Each block of samples of every
-    path is formed once, and each constraint's residual on it goes to the
-    constraint's own ``MaxOperatorNorm``.  ``relation``, when given, maps the
-    list of the paths' blocks and a free buffer of their shape to residual
-    stacks of its own; the largest norm over all of them is returned with the
-    reports (-inf without ``relation``).  ``worst_t`` is the first sample time
-    where a constraint's maximum is attained.
-    """
+def _resolved(paths, constraints):
+    """The paths, the constraint lists and, for each constraint, a fixed
+    matrix, None, or the index of its partner path among ``paths``."""
     paths = list(paths)
     constraints = [list(cons) for cons in constraints]
     p = paths[0]
@@ -401,46 +485,213 @@ def verify_paths(paths, constraints, relation=None) -> tuple[tuple[PathReport, .
                 return i
         raise PathError("a partner path must be one of the verified paths")
 
-    # for each constraint: a fixed matrix, None, or the index of a partner path
     others = [[formed_index(o) if isinstance(o, MatrixPath) else o
                for o in (_partner(q, c) for c in cons)]
               for q, cons in zip(paths, constraints)]
-    blocks = sample_blocks(p.n_samples, p.dim)
-    # one allocation holds every buffer of the walk: a block for each path,
-    # one for the residual and three for the accumulators' ladder.  Freeing a
-    # mapping this large raises glibc's mmap and trim thresholds, so each
-    # block's temporaries then reuse heap pages instead of faulting in fresh
-    # ones (three seed-7 verify aulpac trials at 64 x 64 on a 2-core x86 VM:
-    # 1.3k minor faults, against 22.6k with separate buffers)
-    longest = blocks[0].stop - blocks[0].start
-    arena = np.empty((len(paths) + 4, longest, p.dim, p.dim), dtype=complex)
-    buffers, residual = arena[: len(paths)], arena[len(paths)]
-    scratch: list = list(arena[len(paths) + 1 :])
-    accs = [[MaxOperatorNorm(scratch) for _ in cons] for cons in constraints]
-    rel = MaxOperatorNorm(scratch)
-    for b in blocks:
-        formed = [q.form(b, buf) for q, buf in zip(paths, buffers)]
-        out = residual[: len(formed[0])]
-        for s, cons, row, acc_row in zip(formed, constraints, others, accs):
-            for c, other, acc in zip(cons, row, acc_row):
-                acc.add(_residual(c, s, formed[other] if isinstance(other, int) else other, out))
-        if relation is not None:
-            for r in relation(formed, out):
-                rel.add(r)
-    reports = tuple(
+    return paths, constraints, others
+
+
+def _reports(constraints, sups, bests) -> tuple[PathReport, ...]:
+    """A report per path, from each constraint's sup and (largest value, time)."""
+    return tuple(
         PathReport(tuple(
             ConstraintResult(
                 label=c.label,
-                max_residual=acc.best,
+                max_residual=float(sup),
                 bound=float(c.bound),
-                passed=bool(acc.best <= c.bound),
-                worst_t=float(p.times[acc.where]),
+                passed=bool(sup <= c.bound),
+                worst_t=float(t),
             )
-            for c, acc in zip(cons, acc_row)
+            for c, sup, (_, t) in zip(cons, sup_row, best_row)
         ))
-        for cons, acc_row in zip(constraints, accs)
+        for cons, sup_row, best_row in zip(constraints, sups, bests)
     )
-    return reports, rel.best
+
+
+def verify_paths(paths, constraints, relation) -> tuple[tuple[PathReport, ...], float]:
+    """The report of ``constraints[j]`` along ``paths[j]`` for each j, from one
+    pass over the samples.
+
+    The paths share one time grid and size, and a partner path of a
+    commutation constraint is one of them.  Each block of samples of every
+    path is formed once, and each constraint's residual on it goes to one
+    stacked ``operator_norm``.  ``relation``, when given, maps the list of
+    the paths' blocks and a free buffer of their shape to residual stacks of
+    its own; the largest norm over all of them is returned with the reports
+    (-inf when ``relation`` is None).  ``worst_t`` is the first sample time
+    where a constraint's maximum is attained.
+    """
+    paths, constraints, others = _resolved(paths, constraints)
+    p = paths[0]
+    blocks = sample_blocks(p.n_samples, p.dim)
+    # one allocation holds every buffer of the walk: a block for each path and
+    # one for the residual, so each block's temporaries reuse heap pages
+    longest = blocks[0].stop - blocks[0].start
+    arena = np.empty((len(paths) + 1, longest, p.dim, p.dim), dtype=complex)
+    buffers, residual = arena[:-1], arena[-1]
+    bests = [[(-np.inf, 0.0)] * len(cons) for cons in constraints]
+    worst = -np.inf
+    for b in blocks:
+        formed = [q.form(b, buf) for q, buf in zip(paths, buffers)]
+        out = residual[: len(formed[0])]
+        for s, cons, row, best_row in zip(formed, constraints, others, bests):
+            for k, (c, other) in enumerate(zip(cons, row)):
+                norms = operator_norm(
+                    _residual(c, s, formed[other] if isinstance(other, int) else other, out))
+                i = int(np.argmax(norms))
+                if norms[i] > best_row[k][0]:
+                    best_row[k] = (float(norms[i]), p.times[b.start + i])
+        if relation is not None:
+            for r in relation(formed, out):
+                worst = max(worst, float(operator_norm(r).max()))
+    return _reports(constraints, [[v for v, _ in row] for row in bests], bests), worst
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Bernstein coefficients of the product of two matrix polynomials in
+    t, from theirs (a stack of k + 1 coefficients has degree k)."""
+    m, k = len(a) - 1, len(b) - 1
+    out = np.zeros((m + k + 1, *a.shape[1:]), dtype=complex)
+    for i in range(m + 1):
+        for j in range(k + 1):
+            out[i + j] += comb(m, i) * comb(k, j) / comb(m + k, i + j) * (a[i] @ b[j])
+    return out
+
+
+def _bernstein_sup(coeffs: np.ndarray, scale: float) -> tuple[float, float, float]:
+    """(sup, best, t) of ||P(t)|| over [0, 1] for the Bernstein coefficients
+    of a matrix polynomial P, whose terms have norms up to ``scale``.
+
+    P(t) is a convex combination of the coefficients, so on each piece of a
+    de Casteljau subdivision the largest norm of its coefficients bounds it
+    (the convex-hull property), and the first and last coefficients are its
+    values at the piece's ends.  A degree of 0 or 1 is exact at once.
+    """
+    n = coeffs.shape[-1]
+    norms = operator_norm(coeffs)[None]
+
+    def bound(ends, width, state):
+        return state[1].max(axis=1)
+
+    def split(lo, width, state):
+        c, old = state
+        k = c.shape[1] - 1
+        rows = [c]
+        for _ in range(k):
+            rows.append((rows[-1][:, :-1] + rows[-1][:, 1:]) / 2)
+        left = np.stack([r[:, 0] for r in rows], 1)
+        right = np.stack([r[:, -1] for r in rows[::-1]], 1)
+        # left[k] = right[0] is the value at the midpoint; the outer ends are kept
+        new = operator_norm(np.concatenate([left[:, 1:], right[:, 1:-1]], 1).reshape(-1, n, n))
+        new = new.reshape(len(c), 2 * k - 1)
+        right_norms = np.concatenate([new[:, k - 1 :], old[:, -1:]], 1)
+        return new[:, k - 1], [left, np.concatenate([old[:, :1], new[:, :k]], 1)], [
+            right, right_norms]
+
+    return _branch_and_bound(norms[:, [0, -1]], [coeffs[None], norms], bound, split,
+                             _floor(n, scale))
+
+
+def _same_conjugation(a, b):
+    if isinstance(a, _Curved) and not (np.array_equal(a.w, b.w) and np.array_equal(a.q, b.q)):
+        raise PathError("curved segments certified together must share their generator")
+
+
+def _certify(c: Constraint, seg, other) -> tuple[float, float, float]:
+    """(sup, best, t) of constraint ``c`` over segment ``seg``, whose partner
+    ``other`` is the lined-up segment of the partner path, a fixed matrix or
+    None."""
+    p = seg.coeffs
+    size = _size(p)
+    if isinstance(c, TargetDistanceConstraint):
+        if isinstance(seg, _Curved):
+            return seg.distance(other)
+        return _bernstein_sup(p - other, size + _size(other[None]))
+    if isinstance(c, CommutationConstraint):
+        if isinstance(other, np.ndarray):
+            if isinstance(seg, _Curved):
+                raise PathError("a curved segment's commutator with a fixed matrix "
+                                "is not certified")
+            q = other[None]
+        else:
+            _same_conjugation(seg, other)
+            q = other.coeffs
+        return _bernstein_sup(_times(p, q) - _times(q, p), 2 * size * _size(q))
+    if isinstance(c, NormalityConstraint):
+        h = p.conj().transpose(0, 2, 1)
+        return _bernstein_sup(_times(p, h) - _times(h, p), 2 * size * size)
+    # p(Z) by Horner's rule, as poly_eval_matrix forms it
+    eye = np.eye(p.shape[-1])
+    out = (complex(c.poly.coeffs[-1]) * eye)[None]
+    for a in c.poly.coeffs[-2::-1]:
+        out = _times(out, p) + complex(a) * eye
+    return _bernstein_sup(out, sum(abs(complex(a)) * size**i for i, a in enumerate(c.poly.coeffs)))
+
+
+def _certify_relation(segs, kind: str) -> float:
+    """The certified sup over lined-up segments of the relation's residual
+    norm: each member's norm for the cube, ||sum_j Z_j^2 - 1|| for the sphere."""
+    if kind == "cube":
+        return max(_bernstein_sup(s.coeffs, _size(s.coeffs))[0] for s in segs)
+    for s in segs[1:]:
+        _same_conjugation(segs[0], s)
+    total = sum(_times(s.coeffs, s.coeffs) for s in segs) - np.eye(segs[0].shape[0])
+    return _bernstein_sup(total, 1.0 + sum(_size(s.coeffs) ** 2 for s in segs))[0]
+
+
+def certify_paths(paths, constraints, relation) -> tuple[tuple[PathReport, ...], float]:
+    """The reports of ``verify_paths``, with each maximum certified over the
+    whole of every segment instead of taken over the samples.
+
+    Paths and partners are as for ``verify_paths``, and the paths' segments
+    must line up: the k-th segment of every path is of one kind, curved or
+    flat, and covers the same samples.  Curved segments certified together
+    (commutation partners, and every member for the sphere relation) share
+    their generator's eigh factors.  Anything else, stored samples among
+    them, raises PathError; nothing falls back to sampling.
+
+    On a curved segment, commutators of members that share U(t), normality,
+    polynomial residuals and both relations are unitarily invariant, so they
+    are evaluated once, on D; the distance to a target is bounded by branch
+    and bound with its exact Lipschitz constant.  On a flat segment every
+    residual is a matrix polynomial in t, bounded by the norms of its
+    Bernstein coefficients and refined by de Casteljau subdivision; the
+    distance to a target and the cube's norms have degree 1 and are exact
+    at the ends, as their convexity says.  Each sup lies within CERTIFY_RTOL
+    of the largest value evaluated, or within the rounding floor n * u *
+    scale of it.  ``max_residual`` is the certified sup and ``worst_t`` the
+    path time of the largest value evaluated (a constant residual's is the
+    segment's start).  ``relation`` is "cube", "sphere" or None: the sup of
+    each member's norm, or of ||sum_j Z_j^2 - 1||, is returned with the
+    reports (-inf for None).
+    """
+    paths, constraints, others = _resolved(paths, constraints)
+    p = paths[0]
+    if any(len(q._pieces) != len(p._pieces) for q in paths):
+        raise PathError("paths to certify must have lined-up segments")
+    sups = [[-np.inf] * len(cons) for cons in constraints]
+    bests = [[(-np.inf, 0.0)] * len(cons) for cons in constraints]
+    worst = -np.inf
+    offset = 0  # index of the piece's first sample in the paths
+    for i, (seg, first) in enumerate(p._pieces):
+        segs = [q._pieces[i][0] for q in paths]
+        if isinstance(seg, _Stored) or any(
+                type(s) is not type(seg) or len(s) != len(seg) or q._pieces[i][1] != first
+                for q, s in zip(paths, segs)):
+            raise PathError("only lined-up curved and flat segments can be certified")
+        count = len(seg) - first
+        # the path times of the segment's t = 0 and t = 1
+        t0, t1 = p.times[offset - first], p.times[offset + count - 1]
+        for s, cons, row, sup_row, best_row in zip(segs, constraints, others, sups, bests):
+            for k, (c, other) in enumerate(zip(cons, row)):
+                sup, best, t = _certify(c, s, segs[other] if isinstance(other, int) else other)
+                sup_row[k] = max(sup_row[k], sup)
+                if best > best_row[k][0]:
+                    best_row[k] = (best, (1.0 - t) * t0 + t * t1)
+        if relation is not None:
+            worst = max(worst, _certify_relation(segs, relation))
+        offset += count
+    return _reports(constraints, sups, bests), worst
 
 
 def verify_path(p: MatrixPath, constraints) -> PathReport:
@@ -449,5 +700,5 @@ def verify_path(p: MatrixPath, constraints) -> PathReport:
     constraints = list(constraints)
     partners = [c.partner for c in constraints
                 if isinstance(c, CommutationConstraint) and isinstance(c.partner, MatrixPath)]
-    reports, _ = verify_paths([p, *partners], [constraints] + [[] for _ in partners])
+    reports, _ = verify_paths([p, *partners], [constraints] + [[] for _ in partners], None)
     return reports[0]

@@ -242,6 +242,10 @@ def test_fast_commands_keep_the_domain_contract(inputs, tmp_path_factory, args):
 @example(args=("generate", [("--m", "m", "1"), ("--n", "n", "2"), ("--delta", "delta", "0.5"),
                             ("--seed", "seed", "1"), ("--polys", "polys", ["-1e308,1"]),
                             ("--out", "out", "x.json"), ("--out-y", "out_y", "y.json")]))
+# a root beyond the float range, refused by name
+@example(args=("generate", [("--m", "m", "1"), ("--n", "n", "2"), ("--delta", "delta", "0.5"),
+                            ("--seed", "seed", "1"), ("--polys", "polys", ["1e308,1e-300"]),
+                            ("--out", "out", "x.json"), ("--out-y", "out_y", "y.json")]))
 # endpoints whose products overflow
 @example(args=("deform", [(None, "mode", "gujc"), ("--x", "x", "huge.json"),
                           ("--y", "y", "huge.json"), ("--eps", "eps", "0.5"),
@@ -253,3 +257,13 @@ def test_fast_commands_keep_the_domain_contract(inputs, tmp_path_factory, args):
 def test_instance_commands_keep_the_domain_contract(inputs, tmp_path_factory, args):
     out = tmp_path_factory.mktemp("out")
     _keeps_the_contract(render(*args, inputs, out), out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_residual_is_refused_at_the_first_endpoint(inputs, capfd, tmp_path):
+    argv = ["deform", "algebraic", "--x", str(inputs / "xa.json"), "--y", str(inputs / "x.json"),
+            "--polys", "1e308,0,1e308", "--eps", "0.5", "--report", str(tmp_path / "r.json")]
+    assert dispatch(argv) == 2
+    err = capfd.readouterr().err
+    assert err == "error: ||p_0(X_0)|| = inf; spectrum is not in the zero set\n"
+    assert list(tmp_path.iterdir()) == []

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from matword import deformation
+from matword import deformation, paths
 from matword.deformation import (
     DeformationError,
     InstanceError,
@@ -253,8 +253,10 @@ def test_non_positive_eps_is_refused(eps):
 def test_relation_of_the_one_pass_walk_equals_the_stacked_evaluation(kind):
     x, y = generate_instance(InstanceSpec(kind, 2, 6, 0.02, 7))
     res = connect_commuting(x, y, relation=kind)
+    _, worst = paths.verify_paths(res.paths, [[] for _ in res.paths],
+                                  lambda b, out: deformation._relation_stacks(b, kind, out))
     stacked = deformation._relation_residual([p.samples for p in res.paths], kind)
-    assert res.relation_residual == stacked
+    assert deformation._relation_value(worst, kind) == stacked
     assert connect_commuting(x, y).relation_residual is None
 
 
@@ -496,3 +498,21 @@ def test_ulpac_computes_each_endpoint_residual_once(monkeypatch):
     spec = InstanceSpec("cube", 2, 8, 0.02, 73, (Z2M1,), 1e-3)
     assert verify_ulpac(spec, 3, eps_pass=0.2).all_passed
     assert len(calls) == 3 * 2 * spec.m
+
+
+def test_a_soft_connection_diagonalizes_only_its_endpoints(monkeypatch):
+    # xhat and yhat are built on the endpoints' known bases, which the
+    # approximant reuses: two joint_diagonalize calls, not four
+    from matword import approximants
+
+    calls = []
+
+    def counting(t, tol, real=deformation.joint_diagonalize):
+        calls.append(len(t))
+        return real(t, tol)
+
+    monkeypatch.setattr(deformation, "joint_diagonalize", counting)
+    monkeypatch.setattr(approximants, "joint_diagonalize", counting)
+    x, y = generate_instance(InstanceSpec("cube", 2, 16, 0.02, 13, (Z2M1,), 1e-3))
+    assert connect_soft_algebraic(x, y, (Z2M1,), 0.05, eps=0.2).passed
+    assert calls == [2, 2]

@@ -63,6 +63,18 @@ class TestCommutator:
         assert np.array_equal(commutator(a, b), -commutator(b, a))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_operator_norm_of_non_finite_input_is_inf_without_lapack(capfd, bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    assert linalg.operator_norm(a) == np.inf
+    stack = np.array([2 * np.eye(3), a, np.eye(3)])
+    assert linalg.operator_norm(stack).tolist() == [2.0, np.inf, 1.0]
+    assert linalg.operator_norm(np.array([a, a])).tolist() == [np.inf, np.inf]
+    # LAPACK saw no such matrix: it prints DLASCL errors for them
+    assert "DLASCL" not in capfd.readouterr().err
+
+
 class TestCartesianDecomposition:
     def test_hermitian_input(self, rng):
         a = random_hermitian(rng, 5)

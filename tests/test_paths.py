@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matword import deformation, linalg, paths
+from matword import deformation, paths
 from matword.linalg import (
-    MaxOperatorNorm,
     commutator,
+    default_tol,
     hermitian_part,
-    max_operator_norm,
     operator_norm,
 )
 from matword.minpoly import PolyC
@@ -21,14 +20,16 @@ from matword.paths import (
     PathError,
     PolynomialConstraint,
     TargetDistanceConstraint,
+    certify_paths,
     concat,
     curved_path,
     flat_path,
     verify_path,
+    verify_paths,
 )
 from matword.sampling import random_hermitian
 from normal_oracles import commuting_hermitian_tuple
-from path_oracles import path_length, phase_exp, spectrum_drift
+from path_oracles import dense_maxima, path_length, phase_exp, spectrum_drift
 
 
 class TestCurvedPath:
@@ -377,25 +378,15 @@ def looped_max(stack):
     return norms[worst], worst
 
 
-def in_blocks(stack):
-    return (stack[b] for b in paths.sample_blocks(len(stack), stack.shape[-1]))
-
-
-def decomposed(stack):
-    """How many samples max_operator_norm hands to operator_norm for ``stack``."""
-    count = [0]
-    real = linalg.operator_norm
-
-    def counting(a):
-        count[0] += len(a)
-        return real(a)
-
-    linalg.operator_norm = counting
-    try:
-        max_operator_norm(in_blocks(stack))
-    finally:
-        linalg.operator_norm = real
-    return count[0]
+def walked(stack, block=None, monkeypatch=None):
+    """The sampled walk's maximum and first argmax over a stored ``stack``:
+    ``verify_path`` of its distance to zero, in blocks of ``block`` samples."""
+    if block is not None:
+        monkeypatch.setattr(paths, "SAMPLE_BLOCK_BYTES", block * 16 * stack.shape[-1] ** 2)
+    p = MatrixPath(np.linspace(0.0, 1.0, len(stack)), stack)
+    zero = np.zeros(stack.shape[1:])
+    (entry,) = verify_path(p, [TargetDistanceConstraint(zero, np.inf)]).entries
+    return entry.max_residual, int(np.flatnonzero(p.times == entry.worst_t)[0])
 
 
 def test_sample_blocks_at_the_default_budget():
@@ -433,15 +424,19 @@ def test_sample_blocks_cover_every_sample_once(n, size, monkeypatch):
 
 
 class TestMaxOperatorNorm:
-    """max_operator_norm skips samples behind a bound; its answer must still be
-    the looped oracle's, bit for bit, including the first argmax."""
+    """The sampled walk takes one stacked operator_norm per block; its maximum
+    must be the looped oracle's, bit for bit, including the first argmax."""
 
     @staticmethod
     def check(stack):
-        got = max_operator_norm(in_blocks(stack))
-        assert got == looped_max(stack)
-        assert type(got[0]) is float and type(got[1]) is int
-        return got
+        want = looped_max(stack)
+        norms = operator_norm(stack)
+        assert (norms.max(), int(np.argmax(norms))) == want
+        if len(stack) > 1:
+            got = walked(stack)
+            assert got == want
+            assert type(got[0]) is float and type(got[1]) is int
+        return want
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_ties_zeros_and_a_single_sample(self, n):
@@ -451,22 +446,17 @@ class TestMaxOperatorNorm:
         stack = np.array([b, a, b, a, a] + [b] * 12 + [a] * 48)
         assert self.check(stack)[1] == int(operator_norm(a) > operator_norm(b))
         assert self.check(np.zeros((65, n, n), dtype=complex)) == (0.0, 0)
-        assert decomposed(np.zeros((65, n, n))) == 1
         self.check(stack[:1])
         self.check(np.zeros((1, n, n)))
 
     @pytest.mark.parametrize("n,s", STACK_SHAPES + [(256, 9)])
-    def test_block_size_moves_no_result(self, n, s):
+    def test_block_size_moves_no_result(self, n, s, monkeypatch):
         # blocks of 4 and of 16 samples give the same value and first argmax
         rng = np.random.default_rng(3000 * n + s)
         stack = random_stack(rng, s, n)
         stack[s // 2 :: 3] = stack[s // 2]  # ties across and within blocks
-
-        def blocks(size):
-            return (stack[i : i + size] for i in range(0, s, size))
-
-        assert max_operator_norm(blocks(4)) == max_operator_norm(blocks(16))
-        assert max_operator_norm(blocks(4)) == looped_max(stack)
+        assert walked(stack, 4, monkeypatch) == walked(stack, 16, monkeypatch)
+        assert walked(stack, 4, monkeypatch) == looped_max(stack)
 
     def test_largest_at_the_last_sample(self, rng):
         stack = random_stack(rng, 65, 16)
@@ -476,9 +466,9 @@ class TestMaxOperatorNorm:
     @pytest.mark.parametrize("n", [2, 16, 64])
     @pytest.mark.parametrize("scale", [1.0, 2.0**-1065])
     def test_rank_one_samples_where_the_bounds_are_tight(self, n, scale):
-        # u v* with unit u and v has norm 1 and Frobenius norm 1, so bounds and
-        # norms differ only by rounding, which alone picks the argmax; the
-        # second scale makes every entry subnormal
+        # u v* with unit u and v has norm 1 and Frobenius norm 1, so norms
+        # differ only by rounding, which alone picks the argmax; the second
+        # scale makes every entry subnormal
         rng = np.random.default_rng(n)
         u = rng.standard_normal((65, n, 1)) + 1j * rng.standard_normal((65, n, 1))
         v = rng.standard_normal((65, 1, n)) + 1j * rng.standard_normal((65, 1, n))
@@ -507,26 +497,20 @@ class TestMaxOperatorNorm:
         self.check(stack)
 
     def test_a_benchmark_trial_decomposes_under_half_its_samples(self, monkeypatch):
-        # one trial of verify aulpac --kind sphere --m 2 --n 32 --seed 7 (64 x 64)
-        seen, decomposed = [0], [0]
-        real_norm, real_add = linalg.operator_norm, linalg.MaxOperatorNorm.add
+        # one trial of verify aulpac --kind sphere --m 2 --n 32 --seed 7 (64 x 64):
+        # the walk would decompose each of the 65 samples of the five
+        # constraint residuals and of the relation's
+        decomposed = [0]
 
-        def counting_norm(a):
-            decomposed[0] += len(a)
-            return real_norm(a)
+        def counting_norm(a, real=paths.operator_norm):
+            decomposed[0] += len(a) if np.ndim(a) == 3 else 1
+            return real(a)
 
-        def counting_add(acc, r):
-            seen[0] += len(r)
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "operator_norm", counting_norm)
-                real_add(acc, r)
-
-        monkeypatch.setattr(linalg.MaxOperatorNorm, "add", counting_add)
+        monkeypatch.setattr(paths, "operator_norm", counting_norm)
         (r,) = deformation.verify_aulpac(deformation.InstanceSpec("sphere", 2, 32, 0.02, 7),
                                          1).records
         assert r.passed
-        assert seen[0] > 300
-        assert 0 < decomposed[0] <= seen[0] / 2
+        assert 0 < decomposed[0] <= 6 * 65 / 2
 
 
 class TestSampleAdoption:
@@ -645,9 +629,11 @@ def test_a_trial_forms_each_sample_once_besides_its_ends(monkeypatch, verify, sp
     curved = [seg for seg in segments if isinstance(seg, paths._Curved)]
     assert len(curved) == spec.m and len(segments) == (2 if spec.polys is None else 3) * spec.m
     for seg in segments:
-        # the walk forms every sample once; the junction and endpoint checks,
-        # the flat segment's start and the recovery check reuse kept ends
-        assert [counts.get((seg, i), 0) for i in range(len(seg))] == [1] * len(seg)
+        # the certificate forms no sample; the junction and endpoint checks
+        # form each end once, and the flat segment's start and the recovery
+        # check reuse kept ends
+        want = [1] + [0] * (len(seg) - 2) + [1]
+        assert [counts.get((seg, i), 0) for i in range(len(seg))] == want
 
 
 def test_path_length_forms_each_sample_once(monkeypatch, rng):
@@ -707,8 +693,8 @@ def test_one_benchmark_trial_stays_under_4_mib():
 
 def test_a_walk_at_256_holds_one_sample_per_block():
     # two 5-sample paths at 256 x 256 (1 MiB a sample) with the constraints and
-    # the sphere relation of a trial: the walk's six stacks hold one sample
-    # each, 8.0 MiB at the peak, against 32 MiB with 4-sample blocks
+    # the sphere relation of a trial: the walk's three stacks hold one sample
+    # each, against four samples each with 4-sample blocks
     rng = np.random.default_rng(256)
     h = 1e-3 * random_hermitian(rng, 256)
     d = [np.diag(rng.uniform(-1.0, 1.0, 256)).astype(complex) for _ in range(2)]
@@ -734,24 +720,129 @@ def test_a_walk_at_256_holds_one_sample_per_block():
     assert peak <= 9 * 2**20
 
 
-def test_accumulators_sharing_scratch_match_the_looped_oracle():
-    # several accumulators take turns on one scratch list, with blocks of
-    # changing length and size, ties, subnormal and overflowing samples
+def test_accumulators_sharing_scratch_match_the_looped_oracle(monkeypatch):
+    # stored paths of two sizes walked in blocks of changing length, with
+    # ties, subnormal, huge and zero samples
     rng = np.random.default_rng(5)
-    stacks = []
     for n in (3, 16, 3):
         z = random_stack(rng, 40, n)
         z[7::9] = z[7]  # ties within and across blocks
         z[3] *= 2.0**-1070  # every part subnormal
-        z[11] *= 1e200  # the ladder's products overflow
+        z[11] *= 1e200
         z[20] = 0.0
-        stacks.append(z)
-    scratch = []
-    accs = [MaxOperatorNorm(scratch) for _ in stacks]
-    for lo, hi in ((0, 16), (16, 17), (17, 33), (33, 40)):
-        for acc, z in zip(accs, stacks):
-            acc.add(z[lo:hi])
-    for acc, z in zip(accs, stacks):
-        assert (acc.best, acc.where) == looped_max(z)
-    fresh = MaxOperatorNorm([])
-    assert (fresh.best, fresh.where) == (-np.inf, 0)
+        for block in (1, 7, 16, 40):
+            assert walked(z, block, monkeypatch) == looped_max(z)
+
+
+def assert_certified(ps, constraints, relation):
+    """certify_paths against the 1,025-sample walk of every segment: never
+    below its maximum less default_tol(n), and within 1% of it, or within
+    default_tol(n) where the maximum is below that."""
+    reports, worst = certify_paths(ps, constraints, relation)
+    want, want_worst = dense_maxima(ps, constraints, relation)
+    tol = default_tol(ps[0].dim)
+    got = [[e.max_residual for e in rep.entries] for rep in reports]
+    if relation is not None:
+        got, want = got + [[worst]], want + [[want_worst]]
+    for cert, sampled in zip(sum(got, []), sum(want, [])):
+        assert cert >= sampled - tol
+        assert abs(cert - sampled) <= (0.01 * sampled if sampled >= tol else tol), (cert, sampled)
+    return reports, worst
+
+
+def member_constraints(ps, targets, poly):
+    """The constraints a pipeline puts on its paths: pairwise commutation,
+    normality, distance to the target and a polynomial residual."""
+    return [[CommutationConstraint(ps[k], 1.0) for k in range(j + 1, len(ps))]
+            + [NormalityConstraint(1.0), TargetDistanceConstraint(y, 1.0),
+               PolynomialConstraint(poly, 1.0)]
+            for j, (p, y) in enumerate(zip(ps, targets))]
+
+
+DEGREE_2, DEGREE_3 = PolyC((-1.0, 0.0, 1.0)), PolyC((0.3 - 0.1j, -1.0, 0.5j, 1.0))
+# commuting and non-commuting members at each size; at n = 64, one of each
+# segment kind, as the dense walk takes about 6 s a case there
+SIZES = [(n, commuting) for n in (1, 3, 16) for commuting in (True, False)]
+
+
+class TestCertifiedSup:
+    """Certified sups over curved and flat segments against the dense walk:
+    commuting members go with z^2 - 1 and the cube, non-commuting ones with a
+    complex cubic and the sphere."""
+
+    @staticmethod
+    def members(rng, n, commuting):
+        if commuting:
+            return commuting_hermitian_tuple(rng, 2, n)
+        return [random_hermitian(rng, n) + 0.1j * random_stack(rng, 1, n)[0] for _ in range(2)]
+
+    @pytest.mark.parametrize("n, commuting", SIZES + [(64, False)])
+    def test_curved_segments(self, n, commuting):
+        rng = np.random.default_rng(10 * n + commuting)
+        eig = np.linalg.eigh(random_hermitian(rng, n, norm=0.8))
+        ds = self.members(rng, n, commuting)
+        ps = [curved_path(eig, d, 9) for d in ds]
+        targets = [d + 0.05 * random_hermitian(rng, n) for d in ds]
+        poly, kind = (DEGREE_2, "cube") if commuting else (DEGREE_3, "sphere")
+        reports, _ = assert_certified(ps, member_constraints(ps, targets, poly), kind)
+        # a constant residual's largest value is the segment's start
+        assert all(e.worst_t == 0.0 for rep in reports for e in rep.entries
+                   if e.label != "distance-to-target")
+
+    @pytest.mark.parametrize("n, commuting", SIZES + [(64, True)])
+    def test_flat_segments(self, n, commuting):
+        rng = np.random.default_rng(20 * n + commuting)
+        starts, ends = self.members(rng, n, commuting), self.members(rng, n, commuting)
+        ps = [flat_path(a, b, 9) for a, b in zip(starts, ends)]
+        targets = [random_hermitian(rng, n) for _ in ps]
+        poly, kind = (DEGREE_2, "cube") if commuting else (DEGREE_3, "sphere")
+        reports, _ = assert_certified(ps, member_constraints(ps, targets, poly), kind)
+        # the distance is convex, so it is largest at an end
+        for rep, a, b, y in zip(reports, starts, ends, targets):
+            (e,) = [e for e in rep.entries if e.label == "distance-to-target"]
+            ends_at = (operator_norm(a - y), operator_norm(b - y))
+            assert e.worst_t == float(ends_at[1] > ends_at[0])
+
+    @pytest.mark.parametrize("kind", ["cube", "sphere"])
+    def test_pipelines(self, monkeypatch, kind):
+        # every certify_paths call of the three pipelines, the soft one with
+        # its flat, curved and flat segments
+        calls = []
+
+        def recording(ps, constraints, relation, real=deformation.certify_paths):
+            calls.append((ps, constraints, relation))
+            return real(ps, constraints, relation)
+
+        monkeypatch.setattr(deformation, "certify_paths", recording)
+        spec = deformation.InstanceSpec(kind, 2, 8, 0.02, 7)
+        deformation.verify_aulpac(spec, 1)
+        x, y = deformation.generate_instance(
+            deformation.InstanceSpec("cube", 2, 16, 0.02, 13, (DEGREE_2,), 1e-3))
+        deformation.connect_soft_algebraic(x, y, (DEGREE_2,), 0.05, eps=0.2)
+        x, y = deformation.generate_instance(
+            deformation.InstanceSpec("cube", 2, 3, 0.02, 12, (DEGREE_2,)))
+        deformation.connect_algebraic(x, y, (DEGREE_2,), eps=0.2)
+        assert [len(ps[0]._pieces) for ps, _, _ in calls] == [2, 3, 2]
+        for ps, constraints, relation in calls:
+            assert_certified(ps, constraints, relation)
+
+    def test_what_cannot_be_certified_is_refused(self, rng):
+        n = 4
+        eig = np.linalg.eigh(random_hermitian(rng, n))
+        d, e = random_hermitian(rng, n), random_hermitian(rng, n)
+        curved, flat = curved_path(eig, d, 5), flat_path(d, e, 5)
+        other = curved_path(random_hermitian(rng, n), e, 5)
+        stored = MatrixPath(curved.times, curved.samples)
+        refused = [
+            ([stored], [[NormalityConstraint(1.0)]], None),
+            ([curved, flat], [[CommutationConstraint(flat, 1.0)], []], None),
+            ([curved, other], [[CommutationConstraint(other, 1.0)], []], None),
+            ([curved, other], [[], []], "sphere"),
+            ([curved], [[CommutationConstraint(e, 1.0)]], None),
+            ([concat(curved, flat_path(curved.end, e, 5)), flat_path(d, e, 9)], [[], []], None),
+        ]
+        for ps, constraints, relation in refused:
+            with pytest.raises(PathError):
+                certify_paths(ps, constraints, relation)
+        # the walk takes all of them
+        verify_paths([stored], [[NormalityConstraint(1.0)]], None)
